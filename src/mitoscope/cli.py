@@ -20,7 +20,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,18 +109,18 @@ def load_run_config(path=None) -> RunConfig:
             raise UsageError(f"{path}: unknown config section [{section_name}]")
         target = sections[section_name]
         defaults = {f.name: getattr(type(target)(), f.name) for f in fields(target)}
+        values = {}
         for key, raw in parser.items(section_name):
             if key not in defaults:
                 raise UsageError(f"{path}: unknown key '{key}' in [{section_name}]")
             try:
-                setattr(target, key, _parse_value(raw, defaults[key]))
+                values[key] = _parse_value(raw, defaults[key])
             except ValueError as exc:
                 raise UsageError(f"{path}: bad value for {section_name}.{key}: {exc}")
-    # re-validate dataclass invariants after the overrides
-    cfg.network = net.NetworkConfig(**{f.name: getattr(cfg.network, f.name)
-                                       for f in fields(cfg.network)})
-    cfg.training = TrainConfig(**{f.name: getattr(cfg.training, f.name)
-                                  for f in fields(cfg.training)})
+        try:  # the section's constructor checks its invariants
+            setattr(cfg, section_name, replace(target, **values))
+        except ValueError as exc:
+            raise UsageError(f"{path}: bad [{section_name}] section: {exc}") from exc
     return cfg
 
 

@@ -11,6 +11,11 @@ Gate recurrences (all convolutions same-padded, peepholes elementwise):
 
 Note the output gate peeks at the NEW cell state. Peephole weights are
 per-element tensors over [S,H,W].
+
+Weights are stored stacked, as the two gate convolutions consume them:
+the input and state kernels of the four gates (order i, f, c, o) form one
+[4S,C,k,k] and one [4S,S,k,k] kernel, the biases one [4S] vector, and the
+three peepholes (i, f, o) one [3,S,H,W] array.
 """
 
 from __future__ import annotations
@@ -52,35 +57,35 @@ class CellState:
 
 @dataclass
 class ConvLstmParams:
-    """All weights of one layer. Kernel fields are [S,C_in,k,k] (input) and
-    [S,S,k,k] (state); peepholes are [S,H,W]; biases are [S]."""
-    w_xi: np.ndarray
-    w_xf: np.ndarray
-    w_xc: np.ndarray
-    w_xo: np.ndarray
-    w_hi: np.ndarray
-    w_hf: np.ndarray
-    w_hc: np.ndarray
-    w_ho: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    """All weights of one layer in the stacked layout the kernels consume,
+    gates in the order i, f, c (candidate), o: input kernels ``w_x``
+    [4S,C_in,k,k], state kernels ``w_h`` [4S,S,k,k], biases ``b`` [4S] and
+    peepholes ``peep`` [3,S,H,W] of gates i, f, o."""
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
+    peep: np.ndarray
 
     @property
     def state_channels(self) -> int:
-        return self.w_xi.shape[0]
+        return self.w_h.shape[1]
 
     @property
     def in_channels(self) -> int:
-        return self.w_xi.shape[1]
+        return self.w_x.shape[1]
 
     def named_arrays(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+        """The 15 per-gate arrays under their checkpoint names, in checkpoint
+        order (w_xi..w_xo, w_hi..w_ho, w_ci, w_cf, w_co, b_i..b_o). Each is
+        a C-contiguous view: writing through it changes the layer."""
+        s = self.state_channels
+        for prefix, stacked in (("w_x", self.w_x), ("w_h", self.w_h)):
+            for g, gate in enumerate("ifco"):
+                yield prefix + gate, stacked[g * s:(g + 1) * s]
+        for g, gate in enumerate("ifo"):
+            yield "w_c" + gate, self.peep[g]
+        for g, gate in enumerate("ifco"):
+            yield "b_" + gate, self.b[g * s:(g + 1) * s]
 
     def zeros_like(self) -> "ConvLstmParams":
         return ConvLstmParams(*(np.zeros_like(getattr(self, f.name)) for f in fields(self)))
@@ -115,14 +120,6 @@ def zero_state(state_channels: int, height: int, width: int) -> CellState:
     return CellState(np.zeros(shape), np.zeros(shape))
 
 
-def _stacked(params: ConvLstmParams):
-    # gate order i, f, candidate, o; biases ride on the input convolution
-    w_x = np.concatenate([params.w_xi, params.w_xf, params.w_xc, params.w_xo], axis=0)
-    w_h = np.concatenate([params.w_hi, params.w_hf, params.w_hc, params.w_ho], axis=0)
-    b = np.concatenate([params.b_i, params.b_f, params.b_c, params.b_o])
-    return w_x, w_h, b
-
-
 def step(params: ConvLstmParams, x: np.ndarray, prev: CellState) -> tuple[CellState, StepTrace]:
     """One recurrence step. Returns the new state and the trace backward needs."""
     s = params.state_channels
@@ -134,20 +131,21 @@ def step(params: ConvLstmParams, x: np.ndarray, prev: CellState) -> tuple[CellSt
     if prev.h.shape != (s,) + x.shape[1:]:
         raise ValueError(
             f"step: previous state shape {prev.h.shape} != expected {(s,) + x.shape[1:]}")
-    if params.w_ci.shape != prev.c.shape:
+    if params.peep.shape[1:] != prev.c.shape:
         raise ValueError(
-            f"step: peephole shape {params.w_ci.shape} != state shape {prev.c.shape}")
+            f"step: peephole shape {params.peep.shape[1:]} != state shape {prev.c.shape}")
 
-    w_x, w_h, b = _stacked(params)
-    z_x, conv_x = conv2d_same(x, w_x, b)
-    z_h, conv_h = conv2d_same(prev.h, w_h, np.zeros(4 * s))
+    # biases ride on the input convolution
+    z_x, conv_x = conv2d_same(x, params.w_x, params.b)
+    z_h, conv_h = conv2d_same(prev.h, params.w_h, np.zeros(4 * s))
     z = z_x + z_h
 
-    i = sigmoid(z[:s] + params.w_ci * prev.c)
-    f = sigmoid(z[s:2 * s] + params.w_cf * prev.c)
+    w_ci, w_cf, w_co = params.peep
+    i = sigmoid(z[:s] + w_ci * prev.c)
+    f = sigmoid(z[s:2 * s] + w_cf * prev.c)
     g = tanh_act(z[2 * s:3 * s])
     c = f * prev.c + i * g
-    o = sigmoid(z[3 * s:] + params.w_co * c)
+    o = sigmoid(z[3 * s:] + w_co * c)
     tc = tanh_act(c)
     h = o * tc
     return CellState(h, c), StepTrace(prev, i, f, g, o, c, tc, conv_x, conv_h)
@@ -161,14 +159,14 @@ def _step_backward(params: ConvLstmParams, tr: StepTrace, d_h: np.ndarray,
     The output gate reads the new cell state, so its pre-activation gradient
     feeds back into d_c before the forget/input/candidate split.
     """
-    s = params.state_channels
     i, f, g, o = tr.i, tr.f, tr.g, tr.o
     tc = tr.tanh_c
+    w_ci, w_cf, w_co = params.peep
 
     d_o = d_h * tc
     d_zo = d_o * o * (1.0 - o)
-    d_c = d_c_in + d_h * o * (1.0 - tc * tc) + d_zo * params.w_co
-    grads.w_co += d_zo * tr.c
+    d_c = d_c_in + d_h * o * (1.0 - tc * tc) + d_zo * w_co
+    grads.peep[2] += d_zo * tr.c
 
     d_i = d_c * g
     d_f = d_c * tr.prev.c
@@ -178,26 +176,16 @@ def _step_backward(params: ConvLstmParams, tr: StepTrace, d_h: np.ndarray,
     d_zi = d_i * i * (1.0 - i)
     d_zf = d_f * f * (1.0 - f)
     d_zg = d_g * (1.0 - g * g)
-    grads.w_ci += d_zi * tr.prev.c
-    grads.w_cf += d_zf * tr.prev.c
-    d_c_prev += d_zi * params.w_ci + d_zf * params.w_cf
+    grads.peep[0] += d_zi * tr.prev.c
+    grads.peep[1] += d_zf * tr.prev.c
+    d_c_prev += d_zi * w_ci + d_zf * w_cf
 
     d_z = np.concatenate([d_zi, d_zf, d_zg, d_zo], axis=0)
     d_x, d_wx, d_b = conv2d_same_backward(tr.conv_x, d_z)
     d_h_prev, d_wh, _ = conv2d_same_backward(tr.conv_h, d_z)
-
-    grads.w_xi += d_wx[:s]
-    grads.w_xf += d_wx[s:2 * s]
-    grads.w_xc += d_wx[2 * s:3 * s]
-    grads.w_xo += d_wx[3 * s:]
-    grads.w_hi += d_wh[:s]
-    grads.w_hf += d_wh[s:2 * s]
-    grads.w_hc += d_wh[2 * s:3 * s]
-    grads.w_ho += d_wh[3 * s:]
-    grads.b_i += d_b[:s]
-    grads.b_f += d_b[s:2 * s]
-    grads.b_c += d_b[2 * s:3 * s]
-    grads.b_o += d_b[3 * s:]
+    grads.w_x += d_wx
+    grads.w_h += d_wh
+    grads.b += d_b
     return d_x, d_h_prev, d_c_prev
 
 
@@ -256,19 +244,12 @@ def init_params(in_channels: int, state_channels: int, height: int, width: int,
     at zero. ``seed`` may be an int or a numpy Generator; the draw order is
     fixed so results are deterministic."""
     rng = np.random.default_rng(seed)
-    k = kernel_size
-    bx = xavier_bound(in_channels, state_channels, k, k)
-    bh = xavier_bound(state_channels, state_channels, k, k)
-
-    def draw(bound, c_in):
-        return rng.uniform(-bound, bound, size=(state_channels, c_in, k, k))
-
-    w_x = [draw(bx, in_channels) for _ in range(4)]
-    w_h = [draw(bh, state_channels) for _ in range(4)]
-    peep = (state_channels, height, width)
+    k, s = kernel_size, state_channels
+    bx = xavier_bound(in_channels, s, k, k)
+    bh = xavier_bound(s, s, k, k)
     return ConvLstmParams(
-        *w_x, *w_h,
-        np.zeros(peep), np.zeros(peep), np.zeros(peep),
-        np.zeros(state_channels), np.zeros(state_channels),
-        np.zeros(state_channels), np.zeros(state_channels),
+        rng.uniform(-bx, bx, size=(4 * s, in_channels, k, k)),
+        rng.uniform(-bh, bh, size=(4 * s, s, k, k)),
+        np.zeros(4 * s),
+        np.zeros((3, s, height, width)),
     )

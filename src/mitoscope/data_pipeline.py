@@ -29,7 +29,6 @@ __all__ = [
     "spatial_windows",
     "temporal_windows",
     "block_mean",
-    "downsample4",
     "transform_frames",
     "transform_point",
     "invert_transform",
@@ -198,10 +197,6 @@ def block_mean(frame: np.ndarray, factor: int) -> np.ndarray:
     if h % factor != 0 or w % factor != 0:
         raise ValueError(f"block_mean: dims {h}x{w} not divisible by {factor}")
     return frame.reshape(c, h // factor, factor, w // factor, factor).mean(axis=(2, 4))
-
-
-def downsample4(window: np.ndarray) -> np.ndarray:
-    return block_mean(window, 4)
 
 
 # ---------------------------------------------------------------------------

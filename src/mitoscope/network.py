@@ -11,7 +11,7 @@ one active class per cell, values in (0,1].
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,21 +76,37 @@ class NetworkConfig:
         }
 
 
-_LSTM_LAYERS_UNSUP = ("encoder", "event_fwd", "event_bwd", "event_merge", "decoder")
-_LSTM_LAYERS_SUP = ("event_fwd", "event_bwd", "event_merge")
+# checkpoint blob names of the plain conv arrays
+_BLOB_NAMES = {"event_proj_w": "event_proj.w", "event_proj_b": "event_proj.b",
+               "recon_w": "recon_conv.w", "recon_b": "recon_conv.b",
+               "out_w": "output_conv.w", "out_b": "output_conv.b"}
+
+
+class _ParamContainer:
+    """Parameters of either model, in field order: the recurrent layers,
+    then the plain conv arrays. Field order is the checkpoint blob order."""
+
+    def named_params(self):
+        for f in fields(self)[1:]:  # skip config
+            value = getattr(self, f.name)
+            if isinstance(value, cl.ConvLstmParams):
+                for name, arr in value.named_arrays():
+                    yield f"{f.name}.{name}", arr
+            else:
+                yield _BLOB_NAMES[f.name], value
 
 
 @dataclass
-class BranchedModel:
+class BranchedModel(_ParamContainer):
     """Parameters of the full unsupervised network."""
     config: NetworkConfig
     encoder: cl.ConvLstmParams
     event_fwd: cl.ConvLstmParams
     event_bwd: cl.ConvLstmParams
     event_merge: cl.ConvLstmParams
+    decoder: cl.ConvLstmParams
     event_proj_w: np.ndarray  # [n,S,1,1]
     event_proj_b: np.ndarray  # [n]
-    decoder: cl.ConvLstmParams
     recon_w: np.ndarray  # [S, S+n, k, k]
     recon_b: np.ndarray  # [S]
     out_w: np.ndarray  # [1, S, 1, 1]
@@ -98,30 +114,9 @@ class BranchedModel:
 
     kind = "unsupervised"
 
-    def named_params(self):
-        for layer in _LSTM_LAYERS_UNSUP:
-            for name, arr in getattr(self, layer).named_arrays():
-                yield f"{layer}.{name}", arr
-        yield "event_proj.w", self.event_proj_w
-        yield "event_proj.b", self.event_proj_b
-        yield "recon_conv.w", self.recon_w
-        yield "recon_conv.b", self.recon_b
-        yield "output_conv.w", self.out_w
-        yield "output_conv.b", self.out_b
-
-    def zeros_like(self) -> "BranchedModel":
-        return BranchedModel(
-            self.config,
-            *(getattr(self, l).zeros_like() for l in _LSTM_LAYERS_UNSUP[:4]),
-            np.zeros_like(self.event_proj_w), np.zeros_like(self.event_proj_b),
-            self.decoder.zeros_like(),
-            np.zeros_like(self.recon_w), np.zeros_like(self.recon_b),
-            np.zeros_like(self.out_w), np.zeros_like(self.out_b),
-        )
-
 
 @dataclass
-class SupervisedModel:
+class SupervisedModel(_ParamContainer):
     """Event branch plus output convolutions; no event head, no decoder."""
     config: NetworkConfig
     event_fwd: cl.ConvLstmParams
@@ -133,23 +128,6 @@ class SupervisedModel:
     out_b: np.ndarray
 
     kind = "supervised"
-
-    def named_params(self):
-        for layer in _LSTM_LAYERS_SUP:
-            for name, arr in getattr(self, layer).named_arrays():
-                yield f"{layer}.{name}", arr
-        yield "recon_conv.w", self.recon_w
-        yield "recon_conv.b", self.recon_b
-        yield "output_conv.w", self.out_w
-        yield "output_conv.b", self.out_b
-
-    def zeros_like(self) -> "SupervisedModel":
-        return SupervisedModel(
-            self.config,
-            *(getattr(self, l).zeros_like() for l in _LSTM_LAYERS_SUP),
-            np.zeros_like(self.recon_w), np.zeros_like(self.recon_b),
-            np.zeros_like(self.out_w), np.zeros_like(self.out_b),
-        )
 
 
 def _xavier_kernel(rng, c_out, c_in, k):
@@ -280,11 +258,11 @@ def _event_branch_traced(model, frames):
     return merge_run, _EventBranchTrace(run_f, run_b, merge_run, s)
 
 
-def _event_branch_backward(model, trace: _EventBranchTrace, d_hidden, grads):
+def _event_branch_backward(model, trace: _EventBranchTrace, d_hidden):
     """BPTT through merge, then split the per-step feature gradients back
-    into the forward and backward readers."""
+    into the forward and backward readers. Returns the gradients of
+    (event_fwd, event_bwd, event_merge)."""
     g_merge, d_feats, _ = cl.bptt(model.event_merge, trace.merge_run, d_hidden)
-    _accum_params(grads.event_merge, g_merge)
     d_fwd_h, d_bwd_h = [], []
     for d in d_feats:
         a, b = tc.concat_channels_backward(d, trace.split)
@@ -292,13 +270,7 @@ def _event_branch_backward(model, trace: _EventBranchTrace, d_hidden, grads):
         d_bwd_h.append(b)
     g_fwd, _, _ = cl.bptt(model.event_fwd, trace.fwd_run, d_fwd_h)
     g_bwd, _, _ = cl.bptt(model.event_bwd, trace.bwd_run, d_bwd_h)
-    _accum_params(grads.event_fwd, g_fwd)
-    _accum_params(grads.event_bwd, g_bwd)
-
-
-def _accum_params(dst: cl.ConvLstmParams, src: cl.ConvLstmParams):
-    for (_, a), (_, b) in zip(dst.named_arrays(), src.named_arrays()):
-        a += b
+    return g_fwd, g_bwd, g_merge
 
 
 def detect_events(model: BranchedModel, frames) -> list:
@@ -319,23 +291,29 @@ class _DecodeStep:
     sig_out: np.ndarray
 
 
+def _output_convs(model, features):
+    """The two output convolutions (recon conv, tanh, 1x1 conv, sigmoid) on
+    each step's features. Returns the per-step maps and their traces."""
+    maps, steps = [], []
+    for x in features:
+        a, t_conv1 = tc.conv2d_same(x, model.recon_w, model.recon_b)
+        ta = tc.tanh_act(a)
+        b, t_conv2 = tc.conv2d_same(ta, model.out_w, model.out_b)
+        out = tc.sigmoid(b)
+        maps.append(out)
+        steps.append(_DecodeStep(t_conv1, ta, t_conv2, out))
+    return maps, steps
+
+
 def _decode_traced(model: BranchedModel, enc_state: cl.CellState, events):
     """Unroll the decoder from the encoder state over zero input frames,
     fusing each hidden state with its event map through the two output
     convolutions."""
-    cfg = model.config
-    m = cfg.frame_size
+    m = model.config.frame_size
     zeros_frame = np.zeros((1, m, m))
     run = cl.unroll(model.decoder, [zeros_frame] * len(events), enc_state)
-    frames_out, steps = [], []
-    for t, y in enumerate(events):
-        merged = tc.concat_channels(run.states[t].h, y)
-        a, t_conv1 = tc.conv2d_same(merged, model.recon_w, model.recon_b)
-        ta = tc.tanh_act(a)
-        b, t_conv2 = tc.conv2d_same(ta, model.out_w, model.out_b)
-        frame = tc.sigmoid(b)
-        frames_out.append(frame)
-        steps.append(_DecodeStep(t_conv1, ta, t_conv2, frame))
+    frames_out, steps = _output_convs(
+        model, (tc.concat_channels(st.h, y) for st, y in zip(run.states, events)))
     return frames_out, run, steps
 
 
@@ -434,34 +412,28 @@ def backward_unsupervised(model: BranchedModel, out: ReconOutput) -> BranchedMod
     tr = out.trace
     if tr is None:
         raise ValueError("backward_unsupervised: forward trace missing")
-    grads = model.zeros_like()
-    n = model.config.event_classes
-
-    d_hidden, d_events, (dw1, db1, dw2, db2) = _decode_backward(
-        model, tr.dec_steps, tr.d_pred, n)
-    grads.recon_w += dw1
-    grads.recon_b += db1
-    grads.out_w += dw2
-    grads.out_b += db2
+    d_hidden, d_events, d_convs = _decode_backward(
+        model, tr.dec_steps, tr.d_pred, model.config.event_classes)
 
     # decoder BPTT; its initial-state gradient flows into the encoder
     g_dec, _, d_enc_state = cl.bptt(model.decoder, tr.dec_run, d_hidden)
-    _accum_params(grads.decoder, g_dec)
     enc_d_hidden: list = [None] * model.config.encoder_len
     enc_d_hidden[-1] = d_enc_state.h
     g_enc, _, _ = cl.bptt(model.encoder, tr.enc_run, enc_d_hidden,
                           d_c_final=d_enc_state.c)
-    _accum_params(grads.encoder, g_enc)
 
     # event path: head backward, then the bidirectional branch
+    d_proj_w = np.zeros_like(model.event_proj_w)
+    d_proj_b = np.zeros_like(model.event_proj_b)
     d_merge_hidden = []
     for ht, d_y in zip(tr.head_traces, d_events):
         d_h, d_pw, d_pb = _event_head_backward(ht, d_y)
-        grads.event_proj_w += d_pw
-        grads.event_proj_b += d_pb
+        d_proj_w += d_pw
+        d_proj_b += d_pb
         d_merge_hidden.append(d_h)
-    _event_branch_backward(model, tr.branch, d_merge_hidden, grads)
-    return grads
+    g_branch = _event_branch_backward(model, tr.branch, d_merge_hidden)
+    return BranchedModel(model.config, g_enc, *g_branch, g_dec, d_proj_w, d_proj_b,
+                         *d_convs)
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +459,7 @@ def supervised_maps(model: SupervisedModel, frames):
     cfg = model.config
     _check_frames(frames, cfg.target_len, cfg.frame_size, "supervised_maps")
     merge_run, branch = _event_branch_traced(model, frames)
-    maps, steps = [], []
-    for st in merge_run.states:
-        a, t_conv1 = tc.conv2d_same(st.h, model.recon_w, model.recon_b)
-        ta = tc.tanh_act(a)
-        b, t_conv2 = tc.conv2d_same(ta, model.out_w, model.out_b)
-        frame = tc.sigmoid(b)
-        maps.append(frame)
-        steps.append(_DecodeStep(t_conv1, ta, t_conv2, frame))
+    maps, steps = _output_convs(model, (st.h for st in merge_run.states))
     return maps, branch, steps
 
 
@@ -517,14 +482,9 @@ def backward_supervised(model: SupervisedModel, out: SupervisedOutput) -> Superv
     tr = out.trace
     if tr is None:
         raise ValueError("backward_supervised: forward trace missing")
-    grads = model.zeros_like()
-    d_hidden, _, (dw1, db1, dw2, db2) = _decode_backward(model, tr.steps, tr.d_pred, 0)
-    grads.recon_w += dw1
-    grads.recon_b += db1
-    grads.out_w += dw2
-    grads.out_b += db2
-    _event_branch_backward(model, tr.branch, d_hidden, grads)
-    return grads
+    d_hidden, _, d_convs = _decode_backward(model, tr.steps, tr.d_pred, 0)
+    return SupervisedModel(model.config,
+                           *_event_branch_backward(model, tr.branch, d_hidden), *d_convs)
 
 
 def build_supervised_target(points, frame_size: int, length: int,
@@ -579,6 +539,7 @@ def event_map_ok(y: np.ndarray, grid_factor: int) -> bool:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"MSCOPE1\n"
+_HEADER_LINE_MAX = 1024  # bytes per config header line, newline included
 
 
 class CheckpointError(ValueError):
@@ -622,12 +583,10 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
             raise CheckpointError(f"not a checkpoint: bad magic in {path}")
         cfg_items: dict = {}
         while True:
-            line = b""
-            while not line.endswith(b"\n"):
-                ch = fh.read(1)
-                if not ch:
-                    raise CheckpointError("truncated blob: config header")
-                line += ch
+            line = fh.readline(_HEADER_LINE_MAX)
+            if not line.endswith(b"\n"):
+                raise CheckpointError(f"{path}: config header line unterminated "
+                                      f"or longer than {_HEADER_LINE_MAX} bytes")
             text = line.decode().rstrip("\n")
             if not text:
                 break

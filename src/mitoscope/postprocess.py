@@ -61,29 +61,37 @@ def group_activations(event_maps, class_id: int, grid_factor: int = 8) -> list:
         raise ValueError(f"class id {class_id} out of range for {n_classes} classes")
     active = np.stack([m[class_id, ::grid_factor, ::grid_factor] > 0
                        for m in event_maps])  # [T, gh, gw]
-    t_max, gh, gw = active.shape
-    seen = np.zeros_like(active, dtype=bool)
-    patches = []
-    for t in range(t_max):
-        for r in range(gh):
-            for c in range(gw):
-                if not active[t, r, c] or seen[t, r, c]:
-                    continue
-                members = []
-                queue = deque([(t, r, c)])
-                seen[t, r, c] = True
-                while queue:
-                    ct, cr, cc = queue.popleft()
-                    members.append((ct, cr, cc))
-                    for nt, nr, nc in ((ct - 1, cr, cc), (ct + 1, cr, cc),
-                                       (ct, cr - 1, cc), (ct, cr + 1, cc),
-                                       (ct, cr, cc - 1), (ct, cr, cc + 1)):
-                        if (0 <= nt < t_max and 0 <= nr < gh and 0 <= nc < gw
-                                and active[nt, nr, nc] and not seen[nt, nr, nc]):
-                            seen[nt, nr, nc] = True
-                            queue.append((nt, nr, nc))
-                patches.append(PatchSequence(class_id, sorted(members)))
-    return patches
+    return [PatchSequence(class_id, sorted(members)) for members in _components(active)]
+
+
+def _components(mask: np.ndarray) -> list:
+    """Face-adjacent connected components of a boolean N-d mask, ordered by
+    their first cell in row-major order. Each is a list of index tuples in
+    breadth-first order, neighbours visited axis by axis, -1 then +1."""
+    shape = mask.shape
+    strides = [int(np.prod(shape[axis + 1:])) for axis in range(mask.ndim)]
+    active = mask.ravel().tolist()
+    seen = [False] * len(active)
+    components = []
+    for start in np.flatnonzero(mask).tolist():
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = []
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            members.append(i)
+            for stride, size in zip(strides, shape):
+                pos = i // stride % size
+                if pos > 0 and active[i - stride] and not seen[i - stride]:
+                    seen[i - stride] = True
+                    queue.append(i - stride)
+                if pos < size - 1 and active[i + stride] and not seen[i + stride]:
+                    seen[i + stride] = True
+                    queue.append(i + stride)
+        components.append(list(zip(*(a.tolist() for a in np.unravel_index(members, shape)))))
+    return components
 
 
 def disc_mask(radius: float) -> np.ndarray:
@@ -162,32 +170,19 @@ def threshold_detections(maps, sub, threshold: float = 0.7) -> list:
     detections = []
     for t, m in enumerate(maps):
         grid = np.asarray(m)[0]
-        above = grid > threshold
-        seen = np.zeros_like(above, dtype=bool)
-        h, w = above.shape
-        for r in range(h):
-            for c in range(w):
-                if not above[r, c] or seen[r, c]:
-                    continue
-                queue = deque([(r, c)])
-                seen[r, c] = True
-                px_sum = py_sum = wsum = 0.0
-                peak = 0.0
-                while queue:
-                    cr, cc = queue.popleft()
-                    val = grid[cr, cc]
-                    px_sum += val * cc
-                    py_sum += val * cr
-                    wsum += val
-                    peak = max(peak, val)
-                    for nr, nc in ((cr - 1, cc), (cr + 1, cc), (cr, cc - 1), (cr, cc + 1)):
-                        if 0 <= nr < h and 0 <= nc < w and above[nr, nc] and not seen[nr, nc]:
-                            seen[nr, nc] = True
-                            queue.append((nr, nc))
-                cx = int(np.floor(px_sum / wsum + 0.5))
-                cy = int(np.floor(py_sum / wsum + 0.5))
-                frame, ox, oy = sub.to_original(t, cx, cy)
-                detections.append(Detection(frame, ox, oy, 0, float(peak)))
+        for members in _components(grid > threshold):
+            px_sum = py_sum = wsum = 0.0
+            peak = 0.0
+            for r, c in members:
+                val = grid[r, c]
+                px_sum += val * c
+                py_sum += val * r
+                wsum += val
+                peak = max(peak, val)
+            cx = int(np.floor(px_sum / wsum + 0.5))
+            cy = int(np.floor(py_sum / wsum + 0.5))
+            frame, ox, oy = sub.to_original(t, cx, cy)
+            detections.append(Detection(frame, ox, oy, 0, float(peak)))
     return detections
 
 

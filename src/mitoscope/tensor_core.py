@@ -30,10 +30,6 @@ __all__ = [
     "sigmoid_backward",
     "tanh_act",
     "tanh_backward",
-    "hadamard",
-    "hadamard_backward",
-    "add",
-    "add_backward",
     "concat_channels",
     "concat_channels_backward",
     "bce_loss",
@@ -274,28 +270,6 @@ def tanh_act(x) -> np.ndarray:
 
 def tanh_backward(out, upstream) -> np.ndarray:
     return _as64(upstream) * (1.0 - out * out)
-
-
-def hadamard(a, b) -> np.ndarray:
-    a, b = _as64(a), _as64(b)
-    _check_same_shape("hadamard", a, b)
-    return a * b
-
-
-def hadamard_backward(a, b, upstream) -> tuple[np.ndarray, np.ndarray]:
-    upstream = _as64(upstream)
-    return upstream * b, upstream * a
-
-
-def add(a, b) -> np.ndarray:
-    a, b = _as64(a), _as64(b)
-    _check_same_shape("add", a, b)
-    return a + b
-
-
-def add_backward(upstream) -> tuple[np.ndarray, np.ndarray]:
-    upstream = _as64(upstream)
-    return upstream, upstream.copy()
 
 
 def concat_channels(a, b) -> np.ndarray:

@@ -2,6 +2,8 @@
 usage errors, and the external file formats."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from mitoscope import cli
 from mitoscope.data_pipeline import load_annotations, load_frames, read_pgm
 
+REPO = Path(__file__).resolve().parents[1]
 
 TINY_NET = """
 [network]
@@ -70,6 +73,18 @@ class TestRunConfig:
         path.write_text("[nonsense]\nx = 1\n")
         with pytest.raises(cli.UsageError, match="nonsense"):
             cli.load_run_config(path)
+
+    def test_section_invariants_checked(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[synth]\ndivision_prob = 2.5\n")
+        with pytest.raises(cli.UsageError, match="division_prob"):
+            cli.load_run_config(path)
+
+    def test_readme_configs_load(self):
+        paths = set(re.findall(r"--config (\S+)", (REPO / "README.md").read_text()))
+        assert paths
+        for rel in sorted(paths):
+            cli.load_run_config(REPO / rel)
 
     def test_canonical_echo_roundtrip(self, tmp_path, tiny_config):
         cfg = cli.load_run_config(tiny_config)

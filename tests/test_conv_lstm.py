@@ -29,20 +29,14 @@ def scalar_lstm_step(w, x, h, c):
 
 def scalar_params(w):
     """Wrap the 15 scalars as a 1x1-spatial, 1x1-kernel ConvLstmParams."""
-    def arr4(name):
-        return np.array(w[name]).reshape(1, 1, 1, 1)
-
-    def arr3(name):
-        return np.array(w[name]).reshape(1, 1, 1)
-
-    def arr1(name):
-        return np.array(w[name]).reshape(1)
+    def stacked(*names):
+        return np.array([w[name] for name in names])
 
     return cl.ConvLstmParams(
-        arr4("w_xi"), arr4("w_xf"), arr4("w_xc"), arr4("w_xo"),
-        arr4("w_hi"), arr4("w_hf"), arr4("w_hc"), arr4("w_ho"),
-        arr3("w_ci"), arr3("w_cf"), arr3("w_co"),
-        arr1("b_i"), arr1("b_f"), arr1("b_c"), arr1("b_o"),
+        stacked("w_xi", "w_xf", "w_xc", "w_xo").reshape(4, 1, 1, 1),
+        stacked("w_hi", "w_hf", "w_hc", "w_ho").reshape(4, 1, 1, 1),
+        stacked("b_i", "b_f", "b_c", "b_o"),
+        stacked("w_ci", "w_cf", "w_co").reshape(3, 1, 1, 1),
     )
 
 
@@ -54,14 +48,16 @@ def random_scalar_weights(rng):
     return {k: float(rng.uniform(-1, 1)) for k in SCALAR_KEYS}
 
 
+def gate(p, name):
+    """The per-gate view of ``p`` stored under a checkpoint name."""
+    return dict(p.named_arrays())[name]
+
+
 def tiny_params(rng, c_in=2, s=2, h=4, w=4, k=5):
     p = cl.init_params(c_in, s, h, w, kernel_size=k, seed=rng)
     # gradient-check peepholes too: give them nonzero values
-    p.w_ci[:] = rng.uniform(-0.3, 0.3, p.w_ci.shape)
-    p.w_cf[:] = rng.uniform(-0.3, 0.3, p.w_cf.shape)
-    p.w_co[:] = rng.uniform(-0.3, 0.3, p.w_co.shape)
-    for b in (p.b_i, p.b_f, p.b_c, p.b_o):
-        b[:] = rng.uniform(-0.2, 0.2, b.shape)
+    p.peep[:] = rng.uniform(-0.3, 0.3, p.peep.shape)
+    p.b[:] = rng.uniform(-0.2, 0.2, p.b.shape)
     return p
 
 
@@ -86,7 +82,7 @@ class TestStep:
         p = cl.init_params(1, 1, 3, 3, seed=0)
         for name, arr in p.named_arrays():
             arr[:] = 0.0
-        p.b_c[:] = 10.0
+        gate(p, "b_c")[:] = 10.0
         state, _ = cl.step(p, np.zeros((1, 3, 3)), cl.zero_state(1, 3, 3))
         expect_c = 0.5 * math.tanh(10.0)
         expect_h = 0.5 * math.tanh(expect_c)
@@ -122,8 +118,8 @@ class TestStep:
         p = cl.init_params(1, 2, 4, 4, seed=0)
         for name, arr in p.named_arrays():
             arr[:] = 0.0
-        p.b_f[:] = 50.0
-        p.b_i[:] = -50.0
+        gate(p, "b_f")[:] = 50.0
+        gate(p, "b_i")[:] = -50.0
         rng = np.random.default_rng(2)
         c0 = rng.normal(size=(2, 4, 4))
         state = cl.CellState(np.zeros((2, 4, 4)), c0.copy())
@@ -324,16 +320,25 @@ class TestInit:
         for (n1, x), (n2, y) in zip(a.named_arrays(), b.named_arrays()):
             assert (x == y).all()
         c = cl.init_params(2, 3, 4, 4, seed=124)
-        assert (a.w_xi != c.w_xi).any()
+        assert (a.w_x != c.w_x).any()
 
     def test_zero_biases_and_peepholes(self):
         p = cl.init_params(2, 3, 4, 4, seed=0)
         for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o"):
             assert not dict(p.named_arrays())[name].any()
 
+    def test_named_arrays_are_views_of_stored_layout(self):
+        p = cl.init_params(2, 3, 4, 4, seed=0)
+        views = dict(p.named_arrays())
+        views["w_ci"][:] = 1.5
+        np.testing.assert_array_equal(p.peep[0], 1.5)
+        assert all(v.flags.c_contiguous for v in views.values())
+        assert sum(v.size for v in views.values()) == sum(
+            a.size for a in (p.w_x, p.w_h, p.b, p.peep))
+
     def test_uniform_variance(self):
         # kernel with >= 1e5 samples: 50 * 80 * 25 = 100k per gate kernel
         p = cl.init_params(80, 50, 2, 2, seed=7)
         bound = cl.xavier_bound(80, 50, 5, 5)
-        var = p.w_xi.var()
+        var = gate(p, "w_xi").var()
         assert var == pytest.approx(bound ** 2 / 3.0, rel=0.05)

@@ -97,25 +97,25 @@ class TestWindows:
 
 class TestDownsample:
     def test_constant_preserved(self):
-        out = dp.downsample4(np.full((1, 8, 8), 0.37))
+        out = dp.block_mean(np.full((1, 8, 8), 0.37), 4)
         np.testing.assert_allclose(out, 0.37)
 
     def test_single_block(self):
         frame = np.zeros((1, 8, 8))
         frame[0, 4:8, 0:4] = 1.0
-        out = dp.downsample4(frame)
+        out = dp.block_mean(frame, 4)
         assert out[0, 1, 0] == 1.0
         assert out.sum() == 1.0
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
         frame = rng.uniform(0, 1, (1, 16, 12))
-        np.testing.assert_allclose(dp.downsample4(frame), block_mean_oracle(frame, 4),
+        np.testing.assert_allclose(dp.block_mean(frame, 4), block_mean_oracle(frame, 4),
                                    atol=1e-15)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
-            dp.downsample4(np.zeros((1, 10, 8)))
+            dp.block_mean(np.zeros((1, 10, 8)), 4)
 
 
 # ---------------------------------------------------------------------------

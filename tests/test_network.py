@@ -2,6 +2,7 @@
 end-to-end gradients at a tiny configuration, checkpoint round-trips."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from mitoscope import conv_lstm as cl
 from mitoscope import network as net
 from mitoscope import tensor_core as tc
 from conftest import perturb_model, random_frames, tiny_config
+
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 
 def zero_model(model):
@@ -378,6 +381,20 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(net.CheckpointError, match="not a checkpoint"):
+            net.load_checkpoint(path)
+
+    def test_committed_checkpoints_resave_identically(self, tmp_path):
+        committed = sorted(FIXTURES.glob("*.ckpt"))
+        assert committed
+        for path in committed:
+            out = tmp_path / path.name
+            net.save_checkpoint(net.load_checkpoint(path), out)
+            assert out.read_bytes() == path.read_bytes(), path.name
+
+    def test_unterminated_header_line_rejected(self, tmp_path):
+        path = tmp_path / "noline.ckpt"
+        path.write_bytes(net.CHECKPOINT_MAGIC + b"k" * (1 << 20))
+        with pytest.raises(net.CheckpointError, match="noline.ckpt"):
             net.load_checkpoint(path)
 
     def test_truncated_blob(self, tiny_sup_model, tmp_path):

@@ -294,32 +294,9 @@ class TestPointwise:
         out = tc.sigmoid(np.array([-1000.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 1.0
 
-    def test_hadamard_identity(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(2, 3))
-        np.testing.assert_array_equal(tc.hadamard(x, np.ones_like(x)), x)
-
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
-            tc.hadamard(np.zeros((2, 2)), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="shapes"):
-            tc.add(np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="spatial"):
             tc.concat_channels(np.zeros((1, 2, 2)), np.zeros((1, 3, 3)))
-
-    def test_add_backward_exact_for_linear(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2))
-        w = rng.normal(size=(2, 2))
-        da, db = tc.add_backward(w)
-
-        @weighted_sum_loss(w)
-        def loss(a_, b_):
-            return tc.add(a_, b_)
-
-        err = tc.finite_diff_check(loss, [a, b], [da, db])
-        assert err <= 1e-10
 
     def test_all_pointwise_backwards(self):
         rng = np.random.default_rng(15)
@@ -343,14 +320,6 @@ class TestPointwise:
             return tc.tanh_act(x_)
 
         assert tc.finite_diff_check(tanh_loss, [x], [tc.tanh_backward(t, w)]) <= 1e-6
-
-        da, db = tc.hadamard_backward(x, y, w)
-
-        @weighted_sum_loss(w)
-        def had_loss(a_, b_):
-            return tc.hadamard(a_, b_)
-
-        assert tc.finite_diff_check(had_loss, [x, y], [da, db]) <= 1e-6
 
         da, db = tc.concat_channels_backward(w2, 2)
 
