@@ -51,9 +51,6 @@ class CellState:
     h: np.ndarray  # [S,H,W], elementwise in (-1,1)
     c: np.ndarray  # [S,H,W]
 
-    def copy(self) -> "CellState":
-        return CellState(self.h.copy(), self.c.copy())
-
 
 @dataclass
 class ConvLstmParams:
@@ -89,9 +86,6 @@ class ConvLstmParams:
 
     def zeros_like(self) -> "ConvLstmParams":
         return ConvLstmParams(*(np.zeros_like(getattr(self, f.name)) for f in fields(self)))
-
-    def copy(self) -> "ConvLstmParams":
-        return ConvLstmParams(*(getattr(self, f.name).copy() for f in fields(self)))
 
 
 @dataclass

@@ -573,6 +573,13 @@ def _read_exact(fh, n, what):
     return data
 
 
+def _decode(raw: bytes, path, what: str) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: {what} is not UTF-8: {raw[:64]!r}") from exc
+
+
 def load_checkpoint(path, expect: NetworkConfig | None = None):
     """Rebuild a model from a checkpoint file. With ``expect`` given, blob
     shapes are validated against that config instead of the file's own and
@@ -587,7 +594,7 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
             if not line.endswith(b"\n"):
                 raise CheckpointError(f"{path}: config header line unterminated "
                                       f"or longer than {_HEADER_LINE_MAX} bytes")
-            text = line.decode().rstrip("\n")
+            text = _decode(line, path, "config header line").rstrip("\n")
             if not text:
                 break
             if "=" not in text:
@@ -621,7 +628,7 @@ def load_checkpoint(path, expect: NetworkConfig | None = None):
             if len(head) != 4:
                 raise CheckpointError("truncated blob: name length")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "blob name").decode()
+            name = _decode(_read_exact(fh, name_len, "blob name"), path, "blob name")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} shape"))
             if name not in expected:

@@ -229,6 +229,17 @@ class TestDetectCommand:
             assert 0 <= d.x < 32 and 0 <= d.y < 32
             assert 0 <= d.frame < 12
 
+    def test_undecodable_checkpoint_names_file(self, tmp_path, tiny_config, synth_video,
+                                               capsys):
+        bad = tmp_path / "garbled.ckpt"
+        bad.write_bytes(b"MSCOPE1\n\xff\xfe=1\n\n")
+        code = run(["detect", "--config", tiny_config, "--model", str(bad),
+                    "--frames", str(synth_video), "--division-class", "0",
+                    "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert "garbled.ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_workers_give_identical_output(self, tmp_path, tiny_config, synth_video,
                                            unsup_ckpt):
         a = tmp_path / "w1" / "d.csv"

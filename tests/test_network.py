@@ -397,6 +397,23 @@ class TestCheckpoint:
         with pytest.raises(net.CheckpointError, match="noline.ckpt"):
             net.load_checkpoint(path)
 
+    def test_non_utf8_header_line_rejected(self, tmp_path):
+        path = tmp_path / "badhead.ckpt"
+        path.write_bytes(net.CHECKPOINT_MAGIC + b"\xff\xfe=1\n\n")
+        with pytest.raises(net.CheckpointError, match="badhead.ckpt"):
+            net.load_checkpoint(path)
+
+    def test_non_utf8_blob_name_rejected(self, tiny_sup_model, tmp_path):
+        path = tmp_path / "badname.ckpt"
+        net.save_checkpoint(tiny_sup_model, path)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n\n") + 2
+        name_len = int.from_bytes(data[start:start + 4], "little")
+        data[start + 4:start + 4 + name_len] = b"\xff" * name_len
+        path.write_bytes(bytes(data))
+        with pytest.raises(net.CheckpointError, match="badname.ckpt.*blob name"):
+            net.load_checkpoint(path)
+
     def test_truncated_blob(self, tiny_sup_model, tmp_path):
         path = tmp_path / "m.ckpt"
         net.save_checkpoint(tiny_sup_model, path)

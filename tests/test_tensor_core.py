@@ -136,6 +136,34 @@ class TestConv2dSame:
         assert err <= 1e-6
 
 
+@pytest.mark.parametrize("x_shape, k_shape", [
+    ((2, 6, 7), (3, 2, 5, 3)),   # kh != kw
+    ((2, 5, 6), (2, 2, 1, 5)),
+    ((2, 6, 5), (2, 2, 5, 1)),
+    ((3, 4, 5), (2, 3, 1, 1)),   # 1x1
+    ((2, 9, 4), (2, 2, 5, 5)),   # H != W
+    ((2, 3, 8), (1, 2, 3, 3)),
+    ((1, 3, 2), (2, 1, 5, 5)),   # frame narrower than the kernel
+    ((1, 1, 1), (1, 1, 3, 5)),
+])
+def test_conv_edge_shapes(x_shape, k_shape):
+    rng = np.random.default_rng(sum(x_shape) * 31 + sum(k_shape))
+    x = rng.normal(size=x_shape)
+    k = rng.normal(size=k_shape)
+    b = rng.normal(size=k_shape[0])
+    w = rng.normal(size=(k_shape[0],) + x_shape[1:])
+    out, trace = tc.conv2d_same(x, k, b)
+    np.testing.assert_allclose(out, conv2d_naive(x, k, b), atol=1e-12)
+    dx, dk, db = tc.conv2d_same_backward(trace, w)
+    assert dx.shape == x.shape and dk.shape == k.shape and db.shape == b.shape
+
+    @weighted_sum_loss(w)
+    def loss(x_, k_, b_):
+        return tc.conv2d_same(x_, k_, b_)[0]
+
+    assert tc.finite_diff_check(loss, [x, k, b], [dx, dk, db]) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # maxpool2d
 # ---------------------------------------------------------------------------
@@ -293,6 +321,26 @@ class TestPointwise:
     def test_sigmoid_extremes_stable(self):
         out = tc.sigmoid(np.array([-1000.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_sigmoid_bits_match_two_branch_formula(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 5e-324, -5e-324,
+                            2.2e-308, -2.2e-308, 1e-300, -1e-300, np.nan, -np.nan])
+        payload_nans = np.array([0x7FF8000000000001, 0xFFF8000000000123],
+                                dtype=np.uint64).view(np.float64)
+        rng = np.random.default_rng(18)
+        sweep = rng.normal(size=(4, 33, 35)) * rng.choice([1e-3, 1.0, 40.0], size=(4, 33, 35))
+        # the tiled copy runs numpy's vectorized loops, not only their tails
+        for x in (special, payload_nans, np.tile(special, 9), sweep):
+            np.testing.assert_array_equal(tc.sigmoid(x).view(np.uint64),
+                                          two_branch(x).view(np.uint64))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="spatial"):
