@@ -51,6 +51,9 @@ class DataConfig:
     downsample: int = 4
     augment: bool = True
 
+    def __post_init__(self):
+        dp.check_windowing(self.window_size, self.window_step, self.downsample)
+
 
 @dataclass
 class PostprocessConfig:

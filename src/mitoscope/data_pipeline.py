@@ -6,6 +6,12 @@ accepted when Pillow is importable). All pipeline outputs are float64
 pixels in [0,1]; a subsequence carries enough provenance (window origin,
 start frame, scale, augmentation tag) to map model coordinates back to
 original-video coordinates.
+
+``build_subsequences`` downsamples each spatial window once into one
+read-only ``[T,1,M,M]`` stack. Every subsequence of that window, and each
+of its augmentations, is a numpy view of the stack (a slice, a reversed
+axis or a ``rot90``), so the index costs one stack per window whatever the
+number of temporal starts and augmentations.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "spatial_windows",
     "temporal_windows",
     "block_mean",
+    "check_windowing",
     "transform_frames",
     "transform_point",
     "invert_transform",
@@ -210,22 +217,24 @@ _INVERSE = {"identity": "identity", "fliph": "fliph", "flipv": "flipv",
 
 
 def transform_frames(frames: np.ndarray, tag: str) -> np.ndarray:
-    """Apply one augmentation to a [T,1,M,M] stack. Point rule and frame
-    rule are kept consistent (see transform_point)."""
+    """Apply one augmentation to a [T,1,M,M] stack. The result is a view of
+    ``frames`` (reversed axes or a ``rot90``), never a copy, so it shares
+    memory and writeability with it. Point rule and frame rule are kept
+    consistent (see transform_point)."""
     if frames.shape[-1] != frames.shape[-2]:
         raise ValueError(f"augmentation needs square frames, got {frames.shape[-2:]}")
     if tag == "identity":
-        return frames.copy()
+        return frames[...]
     if tag == "fliph":
-        return np.ascontiguousarray(frames[..., ::-1])
+        return frames[..., ::-1]
     if tag == "flipv":
-        return np.ascontiguousarray(frames[..., ::-1, :])
+        return frames[..., ::-1, :]
     if tag == "rot90":
-        return np.ascontiguousarray(np.rot90(frames, k=3, axes=(-2, -1)))
+        return np.rot90(frames, k=3, axes=(-2, -1))
     if tag == "rot180":
-        return np.ascontiguousarray(np.rot90(frames, k=2, axes=(-2, -1)))
+        return np.rot90(frames, k=2, axes=(-2, -1))
     if tag == "rot270":
-        return np.ascontiguousarray(np.rot90(frames, k=1, axes=(-2, -1)))
+        return np.rot90(frames, k=1, axes=(-2, -1))
     raise ValueError(f"unknown transform {tag!r}")
 
 
@@ -255,7 +264,9 @@ def invert_transform(tag: str) -> str:
 class Subsequence:
     """A model-resolution frame stack plus the provenance needed to map
     model coordinates back to the original video."""
-    frames: np.ndarray  # [T,1,M,M] float64 in [0,1]
+    # [T,1,M,M] float64 in [0,1]; from build_subsequences, a read-only view
+    # of its window's stack
+    frames: np.ndarray
     x0: int
     y0: int
     t0: int
@@ -287,8 +298,9 @@ class Subsequence:
 
 def augment(sub: Subsequence) -> list:
     """The six augmented variants (identity included), transforms applied
-    uniformly to every frame; targets are not carried over (rebuild them
-    from transformed coordinates instead)."""
+    uniformly to every frame. Their frames are views of ``sub.frames``, so
+    no pixels are copied. Targets are not carried over (rebuild them from
+    transformed coordinates instead)."""
     return [Subsequence(transform_frames(sub.frames, tag), sub.x0, sub.y0, sub.t0,
                         sub.scale, tag)
             for tag in TRANSFORMS]
@@ -298,24 +310,47 @@ def augment(sub: Subsequence) -> list:
 # dataset assembly
 # ---------------------------------------------------------------------------
 
+def check_windowing(window_size: int, window_step: int, downsample: int,
+                    length: int = 1, temporal_step: int = 1) -> None:
+    """Reject windowing parameters ``build_subsequences`` cannot cut with,
+    naming the parameter."""
+    for name, value in (("window_size", window_size), ("window_step", window_step),
+                        ("downsample", downsample), ("length", length),
+                        ("temporal_step", temporal_step)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if window_size % downsample:
+        raise ValueError(f"window_size {window_size} is not divisible by "
+                         f"downsample {downsample}")
+
+
 def build_subsequences(video: VideoSource, frame_range=None, window_size: int = 256,
                        window_step: int = 128, downsample: int = 4, length: int = 15,
                        temporal_step: int = 1, augmented: bool = False) -> list:
     """Cut a video into model-ready subsequences: spatial windows, temporal
-    windows, unit rescale, block-mean downsampling, optional augmentation."""
+    windows, unit rescale, block-mean downsampling, optional augmentation.
+
+    Each spatial window is downsampled once into a read-only ``[T,1,M,M]``
+    stack, filled one unit frame at a time; subsequences and their
+    augmentations are views of it."""
+    check_windowing(window_size, window_step, downsample, length, temporal_step)
     lo, hi = (0, video.count) if frame_range is None else frame_range
     if not (0 <= lo < hi <= video.count):
         raise ValueError(f"frame range {lo}:{hi} outside video of {video.count} frames")
-    unit = [rescale_unit(video.frames[t])[None] for t in range(lo, hi)]
     origins = spatial_windows(video.width, video.height, window_size, window_step)
     starts = temporal_windows(hi - lo, length, temporal_step)
+    m = window_size // downsample
+    stacks = [np.empty((hi - lo, 1, m, m)) for _ in origins]
+    for i, t in enumerate(range(lo, hi)):
+        unit = rescale_unit(video.frames[t])[None]
+        for (x0, y0), stack in zip(origins, stacks):
+            stack[i] = block_mean(unit[:, y0:y0 + window_size, x0:x0 + window_size],
+                                  downsample)
     subs = []
-    for x0, y0 in origins:
-        windowed = [f[:, y0:y0 + window_size, x0:x0 + window_size] for f in unit]
-        small = [block_mean(f, downsample) for f in windowed]
+    for (x0, y0), stack in zip(origins, stacks):
+        stack.flags.writeable = False
         for s in starts:
-            stack = np.stack(small[s:s + length])
-            sub = Subsequence(stack, x0, y0, lo + s, downsample)
+            sub = Subsequence(stack[s:s + length], x0, y0, lo + s, downsample)
             if augmented:
                 subs.extend(augment(sub))
             else:

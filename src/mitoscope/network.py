@@ -573,75 +573,92 @@ def _read_exact(fh, n, what):
     return data
 
 
-def _decode(raw: bytes, path, what: str) -> str:
+def _decode(raw: bytes, what: str) -> str:
     try:
         return raw.decode()
     except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: {what} is not UTF-8: {raw[:64]!r}") from exc
+        raise CheckpointError(f"{what} is not UTF-8: {raw[:64]!r}") from exc
 
 
 def load_checkpoint(path, expect: NetworkConfig | None = None):
     """Rebuild a model from a checkpoint file. With ``expect`` given, blob
     shapes are validated against that config instead of the file's own and
-    any mismatch names the offending blob."""
+    any mismatch names the offending blob. Every ``CheckpointError`` names
+    the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"not a checkpoint: bad magic in {path}")
-        cfg_items: dict = {}
-        while True:
-            line = fh.readline(_HEADER_LINE_MAX)
-            if not line.endswith(b"\n"):
-                raise CheckpointError(f"{path}: config header line unterminated "
-                                      f"or longer than {_HEADER_LINE_MAX} bytes")
-            text = _decode(line, path, "config header line").rstrip("\n")
-            if not text:
-                break
-            if "=" not in text:
-                raise CheckpointError(f"malformed config line: {text!r}")
-            key, value = text.split("=", 1)
-            cfg_items[key] = value
-
-        kind = cfg_items.pop("kind", None)
-        if kind not in ("unsupervised", "supervised"):
-            raise CheckpointError(f"unknown checkpoint kind: {kind!r}")
-        known = NetworkConfig().as_dict()
-        unknown = set(cfg_items) - set(known)
-        if unknown:
-            raise CheckpointError(f"unknown config keys: {sorted(unknown)}")
         try:
-            config = NetworkConfig(**{k: int(v) for k, v in cfg_items.items()})
-        except ValueError as exc:
-            raise CheckpointError(f"bad config: {exc}") from exc
+            return _read_checkpoint(fh, expect)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
 
-        build_cfg = expect if expect is not None else config
-        if kind == "unsupervised":
-            model = init_unsupervised(build_cfg, seed=0)
-        else:
-            model = init_supervised(build_cfg, seed=0)
-        expected = dict(model.named_params())
-        seen = set()
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CheckpointError("truncated blob: name length")
-            (name_len,) = struct.unpack("<I", head)
-            name = _decode(_read_exact(fh, name_len, "blob name"), path, "blob name")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} shape"))
-            if name not in expected:
-                raise CheckpointError(f"unexpected blob '{name}' for kind {kind}")
-            want = expected[name].shape
-            if tuple(shape) != want:
-                raise CheckpointError(
-                    f"blob '{name}': shape {tuple(shape)} does not match expected {want}")
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, count * 8, name)
-            expected[name][:] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            seen.add(name)
-        missing = set(expected) - seen
-        if missing:
-            raise CheckpointError(f"missing blobs: {sorted(missing)}")
+
+def _read_checkpoint(fh, expect: NetworkConfig | None):
+    magic = fh.read(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError("not a checkpoint: bad magic")
+    cfg_items: dict = {}
+    while True:
+        line = fh.readline(_HEADER_LINE_MAX)
+        if not line.endswith(b"\n"):
+            raise CheckpointError(f"config header line unterminated "
+                                  f"or longer than {_HEADER_LINE_MAX} bytes")
+        text = _decode(line, "config header line").rstrip("\n")
+        if not text:
+            break
+        if "=" not in text:
+            raise CheckpointError(f"malformed config line: {text!r}")
+        key, value = text.split("=", 1)
+        cfg_items[key] = value
+
+    kind = cfg_items.pop("kind", None)
+    if kind not in ("unsupervised", "supervised"):
+        raise CheckpointError(f"unknown checkpoint kind: {kind!r}")
+    known = NetworkConfig().as_dict()
+    unknown = set(cfg_items) - set(known)
+    if unknown:
+        raise CheckpointError(f"unknown config keys: {sorted(unknown)}")
+    try:
+        config = NetworkConfig(**{k: int(v) for k, v in cfg_items.items()})
+    except ValueError as exc:
+        raise CheckpointError(f"bad config: {exc}") from exc
+
+    build_cfg = expect if expect is not None else config
+    if kind == "unsupervised":
+        model = init_unsupervised(build_cfg, seed=0)
+    else:
+        model = init_supervised(build_cfg, seed=0)
+    expected = dict(model.named_params())
+    # name length and rank come from the file: bound both before reading
+    # what they size
+    longest = max(len(name.encode()) for name in expected)
+    seen = set()
+    while True:
+        head = fh.read(4)
+        if not head:
+            break
+        if len(head) != 4:
+            raise CheckpointError("truncated blob: name length")
+        (name_len,) = struct.unpack("<I", head)
+        if name_len > longest:
+            raise CheckpointError(f"blob name length {name_len} exceeds the longest "
+                                  f"expected name ({longest} bytes)")
+        name = _decode(_read_exact(fh, name_len, "blob name"), "blob name")
+        if name not in expected:
+            raise CheckpointError(f"unexpected blob '{name}' for kind {kind}")
+        want = expected[name].shape
+        (ndim,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
+        if ndim != len(want):
+            raise CheckpointError(
+                f"blob '{name}': rank {ndim} does not match expected {len(want)}")
+        shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} shape"))
+        if tuple(shape) != want:
+            raise CheckpointError(
+                f"blob '{name}': shape {tuple(shape)} does not match expected {want}")
+        count = int(np.prod(shape)) if shape else 1
+        raw = _read_exact(fh, count * 8, name)
+        expected[name][:] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        seen.add(name)
+    missing = set(expected) - seen
+    if missing:
+        raise CheckpointError(f"missing blobs: {sorted(missing)}")
     return model

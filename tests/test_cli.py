@@ -80,6 +80,14 @@ class TestRunConfig:
         with pytest.raises(cli.UsageError, match="division_prob"):
             cli.load_run_config(path)
 
+    def test_data_windowing_checked(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[data]\nwindow_size = 62\n")
+        with pytest.raises(cli.UsageError,
+                           match=r"bad\.ini: bad \[data\] section: window_size 62 is not "
+                                 r"divisible by downsample 4"):
+            cli.load_run_config(path)
+
     def test_readme_configs_load(self):
         paths = set(re.findall(r"--config (\S+)", (REPO / "README.md").read_text()))
         assert paths
@@ -238,6 +246,16 @@ class TestDetectCommand:
                     "--out", str(tmp_path / "d.csv")])
         assert code == 1
         assert "garbled.ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_truncated_checkpoint_names_file(self, tmp_path, tiny_config, synth_video,
+                                             capsys):
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes((REPO / "benchmarks" / "fixtures" / "sup.ckpt").read_bytes()[:-4])
+        code = run(["detect", "--config", tiny_config, "--model", str(bad),
+                    "--frames", str(synth_video), "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert f"{bad}: truncated blob: output_conv.b" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
     def test_workers_give_identical_output(self, tmp_path, tiny_config, synth_video,

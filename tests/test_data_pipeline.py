@@ -2,6 +2,8 @@
 augmentation group identities via one-hot frames, PGM and annotation I/O,
 synthetic generator self-checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -366,3 +368,113 @@ class TestBuildSubsequences:
         ann = (base.t0 + 3, 10, 20)
         dp.attach_targets([flipped], [ann], target_offset=0)
         assert flipped.targets[3][0, 20, 63 - 10] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the index as views of one stack per window
+# ---------------------------------------------------------------------------
+
+def eager_reference(video, frame_range, window_size, window_step, downsample,
+                    length, temporal_step):
+    """The index as separate arrays: every window's frames downsampled,
+    stacked per start, and each augmentation copied contiguous."""
+    lo, hi = frame_range
+    unit = [dp.rescale_unit(video.frames[t])[None] for t in range(lo, hi)]
+    ref = []
+    for x0, y0 in dp.spatial_windows(video.width, video.height, window_size, window_step):
+        small = [dp.block_mean(f[:, y0:y0 + window_size, x0:x0 + window_size], downsample)
+                 for f in unit]
+        for s in dp.temporal_windows(hi - lo, length, temporal_step):
+            stack = np.stack(small[s:s + length])
+            variants = {
+                "identity": stack.copy(),
+                "fliph": np.ascontiguousarray(stack[..., ::-1]),
+                "flipv": np.ascontiguousarray(stack[..., ::-1, :]),
+                "rot90": np.ascontiguousarray(np.rot90(stack, k=3, axes=(-2, -1))),
+                "rot180": np.ascontiguousarray(np.rot90(stack, k=2, axes=(-2, -1))),
+                "rot270": np.ascontiguousarray(np.rot90(stack, k=1, axes=(-2, -1))),
+            }
+            ref.extend(((x0, y0, lo + s, tag), variants[tag]) for tag in dp.TRANSFORMS)
+    return ref
+
+
+def root_array(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def noise_video(width, height, count, seed):
+    rng = np.random.default_rng(seed)
+    return dp.VideoSource.from_arrays(
+        rng.integers(0, 256, (count, height, width), dtype=np.uint8))
+
+
+class TestStackViews:
+    # 100x70 frames, 32-px windows stepping 24: x origins 0,24,48 plus the
+    # flush 68, y origins 0,24 plus the flush 38
+    GEOMETRY = dict(frame_range=(3, 12), window_size=32, window_step=24, downsample=4,
+                    length=4, temporal_step=2)
+
+    def test_bit_identical_to_eager_copies(self):
+        video = noise_video(100, 70, 13, seed=5)
+        subs = dp.build_subsequences(video, augmented=True, **self.GEOMETRY)
+        ref = eager_reference(video, **self.GEOMETRY)
+        assert {s.x0 for s in subs} == {0, 24, 48, 68}
+        assert {s.y0 for s in subs} == {0, 24, 38}
+        assert len(subs) == len(ref) == 12 * 3 * 6
+        for sub, (key, want) in zip(subs, ref):
+            assert (sub.x0, sub.y0, sub.t0, sub.transform) == key
+            assert sub.scale == 4
+            got = np.ascontiguousarray(sub.frames)
+            assert got.shape == want.shape == (4, 1, 8, 8)
+            assert got.tobytes() == want.tobytes(), key
+
+    def test_frames_read_only_and_shared_per_window(self):
+        video = noise_video(100, 70, 13, seed=6)
+        subs = dp.build_subsequences(video, augmented=True, **self.GEOMETRY)
+        for sub in subs[:6]:
+            with pytest.raises(ValueError, match="read-only"):
+                sub.frames[0, 0, 0, 0] = 1.0
+        first = [s for s in subs if (s.x0, s.y0) == (0, 0)]
+        second = [s for s in subs if (s.x0, s.y0) == (24, 0)]
+        assert [s.t0 for s in first[::6]] == [3, 5, 7]
+        # starts 3 and 5 overlap in time: every tag of both is one buffer
+        assert all(np.shares_memory(first[0].frames, s.frames) for s in first[:12])
+        # start 7 does not overlap start 3 but is a view of the same stack
+        assert all(root_array(s.frames) is root_array(first[0].frames) for s in first)
+        assert not np.shares_memory(first[0].frames, second[0].frames)
+
+    def test_full_scale_index_fits_in_memory(self):
+        # PAPER.md geometry: 1392x1040, 256-px windows stepping 128, x4
+        # block means, 15-frame subsequences, six augmentations; 100 frames
+        # of separate arrays would take 20.3 GB
+        video = noise_video(1392, 1040, 100, seed=7)
+        tracemalloc.start()
+        try:
+            subs = dp.build_subsequences(video, augmented=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(subs) == 80 * 86 * 6 == 41_280
+        assert subs[0].frames.shape == (15, 1, 64, 64)
+        assert peak < 400e6, f"traced peak {peak / 1e6:.0f} MB"
+
+
+class TestWindowingChecks:
+    @pytest.mark.parametrize("params, message", [
+        (dict(window_size=0), "window_size must be at least 1"),
+        (dict(window_step=0), "window_step must be at least 1"),
+        (dict(temporal_step=0), "temporal_step must be at least 1"),
+        (dict(downsample=0), "downsample must be at least 1"),
+        (dict(length=0), "length must be at least 1"),
+        (dict(window_size=62), "window_size 62 is not divisible by downsample 4"),
+    ], ids=["window_size", "window_step", "temporal_step", "downsample", "length",
+            "divisible"])
+    def test_bad_parameter_named(self, params, message):
+        video = noise_video(64, 64, 16, seed=8)
+        args = dict(window_size=64, window_step=64, downsample=4, length=15,
+                    temporal_step=1)
+        args.update(params)
+        with pytest.raises(ValueError, match=message):
+            dp.build_subsequences(video, **args)

@@ -353,6 +353,21 @@ def test_horizontal_flip_equivariance():
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def blob_offset(data: bytes) -> int:
+    """Offset of the first blob's name-length field."""
+    return data.index(b"\n\n") + 2
+
+
+def rank_offset(data: bytes) -> int:
+    """Offset of the first blob's rank field in ``sup.ckpt``, whose first
+    blob is ``event_fwd.w_xi``."""
+    return blob_offset(data) + 4 + len(b"event_fwd.w_xi")
+
+
+def set_u32(data: bytes, offset: int, value: int) -> bytes:
+    return data[:offset] + value.to_bytes(4, "little") + data[offset + 4:]
+
+
 class TestCheckpoint:
     def test_roundtrip_unsupervised(self, tiny_unsup_model, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -421,6 +436,31 @@ class TestCheckpoint:
         path.write_bytes(data[:-16])
         with pytest.raises(net.CheckpointError, match="truncated blob"):
             net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d[:-4], "truncated blob: output_conv.b"),
+        (lambda d: d.replace(b"kind=supervised", b"kind=supervisee"),
+         "unknown checkpoint kind: 'supervisee'"),
+        (lambda d: d.replace(b"kind=", b"garbage\nkind="), "malformed config line: 'garbage'"),
+        (lambda d: d.replace(b"kind=", b"bogus=1\nkind="), "unknown config keys: ['bogus']"),
+        (lambda d: d.replace(b"frame_size=64", b"frame_size=6x"), "bad config: "),
+        (lambda d: d.replace(b"event_fwd.w_xi", b"event_fwd.w_xz"),
+         "unexpected blob 'event_fwd.w_xz' for kind supervised"),
+        (lambda d: set_u32(d, rank_offset(d) + 4, 7),
+         "blob 'event_fwd.w_xi': shape (7, 1, 5, 5) does not match expected (6, 1, 5, 5)"),
+        (lambda d: d[:d.rindex(b"output_conv.b") - 4], "missing blobs: ['output_conv.b']"),
+        (lambda d: set_u32(d, blob_offset(d), 0xFFFFFFF0),
+         "blob name length 4294967280 exceeds the longest expected name"),
+        (lambda d: set_u32(d, rank_offset(d), 0x3FFFFFFF),
+         "blob 'event_fwd.w_xi': rank 1073741823 does not match expected 4"),
+    ], ids=["truncated", "kind", "malformed", "unknown-key", "bad-config", "unexpected",
+            "shape", "missing", "name-length", "rank"])
+    def test_edited_fixture_error_names_file(self, tmp_path, edit, message):
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(edit((FIXTURES / "sup.ckpt").read_bytes()))
+        with pytest.raises(net.CheckpointError) as info:
+            net.load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: {message}")
 
     def test_class_count_mismatch_names_blob(self, tmp_path):
         model = net.init_unsupervised(tiny_config(event_classes=4), seed=0)
