@@ -55,11 +55,12 @@ class NetworkConfig:
     cnn1_kernel: int = 5
 
     def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.frame_size % self.grid_factor != 0:
             raise ValueError(
                 f"frame_size {self.frame_size} not divisible by grid_factor {self.grid_factor}")
-        if self.encoder_len < 1 or self.target_len < 1:
-            raise ValueError("encoder_len and target_len must be >= 1")
         if self.conv_kernel % 2 == 0 or self.cnn1_kernel % 2 == 0:
             raise ValueError("kernel sizes must be odd")
 
@@ -645,6 +646,8 @@ def _read_checkpoint(fh, expect: NetworkConfig | None):
         name = _decode(_read_exact(fh, name_len, "blob name"), "blob name")
         if name not in expected:
             raise CheckpointError(f"unexpected blob '{name}' for kind {kind}")
+        if name in seen:
+            raise CheckpointError(f"duplicate blob '{name}'")
         want = expected[name].shape
         (ndim,) = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
         if ndim != len(want):

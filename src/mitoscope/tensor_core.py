@@ -6,24 +6,50 @@ internal state is kept. Ops whose backward needs saved forward state
 return an opaque trace object alongside the output; hand the trace plus
 the upstream gradient to the matching ``*_backward`` function.
 
-``conv2d_same`` and its backward share one wide-row layout. The input is
-zero-padded once to [C, H+2ph+1, W+2pw] and its rows are flattened, with
-row length Wp = W+2pw. Kernel offset (i,j) then reads the contiguous run
-xf[:, i*Wp+j : i*Wp+j+H*Wp], so im2col is one block copy per offset and
-col2im one contiguous add per offset; the extra zero row keeps the last
-offset's run in bounds. The GEMMs run on H*Wp columns: the forward crops
-the Wp-W extra columns of each output row, and the backward zero-fills
-them in its upstream. ``Conv2dTrace`` keeps only the input and the kernel,
-and the backward pads and recomputes the columns: keeping the columns
-would hold C_in*kH*kW*H*Wp floats per call until the backward pass, about
-330 MB per desk-scale unsupervised sample and 2.3 GB per paper-scale one.
+``conv2d_same`` and its backward take one of two paths, chosen from the
+kernel shape alone: Winograd minimal filtering F(4x4,5x5) for a 5x5 kernel
+with at least 16 input and 16 output channels, and wide-row im2col for
+every other shape. Both keep only the input and the kernel in
+``Conv2dTrace``, and the backward recomputes what it needs from them:
+keeping im2col columns would hold C_in*kH*kW*H*Wp floats per call until
+the backward pass, about 330 MB per desk-scale unsupervised sample and
+2.3 GB per paper-scale one.
+
+Wide-row im2col: the input is zero-padded once to [C, H+2ph+1, W+2pw] and
+its rows are flattened, with row length Wp = W+2pw. Kernel offset (i,j)
+then reads the contiguous run xf[:, i*Wp+j : i*Wp+j+H*Wp], so im2col is one
+block copy per offset and col2im one contiguous add per offset; the extra
+zero row keeps the last offset's run in bounds. The GEMMs run on H*Wp
+columns: the forward crops the Wp-W extra columns of each output row, and
+the backward zero-fills them in its upstream.
+
+Winograd (Lavin & Gray, arXiv:1509.09308): the input, zero-padded to
+[C, 4*ceil(H/4)+4, 4*ceil(W/4)+4], is cut into 8x8 tiles at stride 4, and
+each 4x4 output tile is A^T [(G g G^T) * (B^T d B)] A. Per tile and channel
+pair that is 64 multiplies in place of the direct path's 400; the 2-D
+transforms are the Kronecker squares of the 1-D ones, applied to all tiles
+as one GEMM each, and the 64 elementwise products over channels are 64
+GEMMs. The backward applies the adjoint of each stage. Outputs differ
+from im2col by rounding only (relative 1e-14 on the paper's shapes).
+
+Why the rule sits at 16 channels: the transforms cost O(C*H*W) per call
+against the GEMMs' O(C_in*C_out*H*W), so the gain grows with the channel
+counts. Timed per call at 64x64 on one BLAS thread (``tools/conv_paths.py``),
+Winograd forward plus backward is 2.5x slower at 1->16, about even at 4->16
+and 6->24, 1.5x faster at 16->16 and 2.4x at 64->128. Its forward alone
+loses on 4->16, 6->24, 8->16 and 8->32; from 12->12 up both passes win on
+every shape measured. At 16 every shape of the paper's model except its
+1->128 input convs takes Winograd, and every desk-scale shape (12 channels
+or fewer on one side) stays on im2col, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "BCE_EPS",
@@ -89,10 +115,118 @@ def _im2col_wide(xf: np.ndarray, kh: int, kw: int, h: int, wp: int) -> np.ndarra
     return cols.reshape(c * kh * kw, n)
 
 
+# Winograd F(4x4,5x5): 4x4 output tiles from 8x8 input tiles at stride 4.
+# The threshold is explained in the module notes.
+_WINOGRAD_MIN_CHANNELS = 16
+
+
+def _winograd_transforms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact 1-D Cook-Toom transforms A^T [4,8], G [8,5], B^T [8,8] for the
+    points 0, +-1, +-2, +-1/2 and infinity, such that the correlation
+    y_i = sum_k g_k d_(i+k), i < 4, equals A^T [(G g) * (B^T d)].
+
+    With M(x) the product of (x - p) over the seven finite points and
+    f_j = M'(p_j): row j of G is the powers of p_j over f_j, row j of B^T
+    the coefficients of M(x)/(x - p_j), and the rows for infinity pick the
+    leading coefficient."""
+    pts = [Fraction(p) for p in (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))]
+
+    def poly(roots):  # coefficients, lowest degree first
+        coef = [Fraction(1)]
+        for p in roots:
+            coef = [a - p * b for a, b in zip([Fraction(0)] + coef, coef + [Fraction(0)])]
+        return coef
+
+    a_t = [[p ** i for p in pts] + [Fraction(int(i == 3))] for i in range(4)]
+    g, b_t = [], []
+    for j, p in enumerate(pts):
+        others = pts[:j] + pts[j + 1:]
+        f = Fraction(1)
+        for q in others:
+            f *= p - q
+        g.append([p ** k / f for k in range(5)])
+        b_t.append(poly(others) + [Fraction(0)])
+    g.append([Fraction(int(k == 4)) for k in range(5)])
+    b_t.append(poly(pts))
+    return tuple(np.array(m, dtype=object).astype(np.float64) for m in (a_t, g, b_t))
+
+
+# The 2-D transforms act on row-major flattened tiles, vec(T X T^T) =
+# kron(T, T) vec(X): K_A [16,64], K_G [64,25], K_B [64,64]. Every product
+# of two float entries rounds to the float of the exact rational product.
+_K_A, _K_G, _K_B = (np.kron(m, m) for m in _winograd_transforms())
+
+
+def _winograd_eligible(kernel_shape) -> bool:
+    c_out, c_in, kh, kw = kernel_shape
+    return kh == kw == 5 and min(c_in, c_out) >= _WINOGRAD_MIN_CHANNELS
+
+
+def _tile_counts(h: int, w: int) -> tuple[int, int]:
+    return -(-h // 4), -(-w // 4)
+
+
+def _winograd_input(x: np.ndarray) -> np.ndarray:
+    """Transformed input tiles V [64, C, nty*ntx] of a [C,H,W] input."""
+    c, h, w = x.shape
+    nty, ntx = _tile_counts(h, w)
+    xp = np.zeros((c, 4 * nty + 4, 4 * ntx + 4))
+    xp[:, 2:2 + h, 2:2 + w] = x
+    s0, s1, s2 = xp.strides
+    tiles = as_strided(xp, (8, 8, c, nty, ntx), (s1, s2, s0, 4 * s1, 4 * s2),
+                       writeable=False)
+    return (_K_B @ tiles.reshape(64, -1)).reshape(64, c, nty * ntx)
+
+
+def _winograd_kernel(kernel: np.ndarray) -> np.ndarray:
+    """Transformed kernel U [64, C_out, C_in]."""
+    c_out, c_in = kernel.shape[:2]
+    return (_K_G @ kernel.reshape(c_out * c_in, 25).T).reshape(64, c_out, c_in)
+
+
+def _winograd_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    _, h, w = x.shape
+    c_out = kernel.shape[0]
+    nty, ntx = _tile_counts(h, w)
+    m = np.matmul(_winograd_kernel(kernel), _winograd_input(x))
+    y = (_K_A @ m.reshape(64, -1)).reshape(4, 4, c_out, nty, ntx)
+    out = np.empty((c_out, nty, 4, ntx, 4))
+    np.add(y.transpose(2, 3, 0, 4, 1), bias[:, None, None, None, None], out=out)
+    out = out.reshape(c_out, 4 * nty, 4 * ntx)
+    return out if out.shape[1:] == (h, w) else np.ascontiguousarray(out[:, :h, :w])
+
+
+def _winograd_backward(x: np.ndarray, kernel: np.ndarray,
+                       upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d_x, d_kernel) by the adjoint of each stage of ``_winograd_forward``."""
+    c_in, h, w = x.shape
+    c_out = kernel.shape[0]
+    nty, ntx = _tile_counts(h, w)
+    grid = np.zeros((c_out, nty, 4, ntx, 4))
+    grid.reshape(c_out, 4 * nty, 4 * ntx)[:, :h, :w] = upstream
+    d_y = np.ascontiguousarray(grid.transpose(2, 4, 0, 1, 3)).reshape(16, -1)
+    d_m = (_K_A.T @ d_y).reshape(64, c_out, nty * ntx)
+    d_u = np.matmul(d_m, _winograd_input(x).transpose(0, 2, 1))
+    d_kernel = (d_u.reshape(64, -1).T @ _K_G).reshape(kernel.shape)
+    d_v = np.matmul(_winograd_kernel(kernel).transpose(0, 2, 1), d_m)
+    d_tiles = (_K_B.T @ d_v.reshape(64, -1)).reshape(2, 4, 2, 4, c_in, nty, ntx)
+    # quadrant (qy,qx) of tile (ty,tx) lands on 4x4 block (ty+qy, tx+qx) of
+    # the padded input, held as [row phase, col phase, C, block row, block col]
+    # so that each of the four adds runs over contiguous rows of blocks
+    d_pad = np.zeros((4, 4, c_in, nty + 1, ntx + 1))
+    for qy in (0, 1):
+        for qx in (0, 1):
+            d_pad[:, :, :, qy:qy + nty, qx:qx + ntx] += d_tiles[qy, :, qx]
+    d_pad = d_pad.transpose(2, 3, 0, 4, 1).reshape(c_in, 4 * nty + 4, 4 * ntx + 4)
+    return np.ascontiguousarray(d_pad[:, 2:2 + h, 2:2 + w]), d_kernel
+
+
 def conv2d_same(x, kernel, bias) -> tuple[np.ndarray, Conv2dTrace]:
     """Same-padded cross-correlation of [C_in,H,W] with [C_out,C_in,kH,kW].
 
     Zero padding of (k-1)/2 keeps the spatial dims; kernel dims must be odd.
+    A 5x5 kernel with C_in and C_out both at least 16 runs Winograd
+    F(4x4,5x5), every other shape wide-row im2col (see the module notes).
     """
     x = _as64(x)
     kernel = _as64(kernel)
@@ -110,6 +244,8 @@ def conv2d_same(x, kernel, bias) -> tuple[np.ndarray, Conv2dTrace]:
     if bias.shape != (c_out,):
         raise ValueError(
             f"conv2d_same: bias shape {bias.shape} != output channels ({c_out},)")
+    if _winograd_eligible(kernel.shape):
+        return _winograd_forward(x, kernel, bias), Conv2dTrace(x, kernel)
     _, h, w = x.shape
     xf, wp = _pad_wide(x, (kh - 1) // 2, (kw - 1) // 2)
     wide = kernel.reshape(c_out, -1) @ _im2col_wide(xf, kh, kw, h, wp)
@@ -127,6 +263,9 @@ def conv2d_same_backward(trace: Conv2dTrace, upstream) -> tuple[np.ndarray, np.n
     if upstream.shape != (c_out, h, w):
         raise ValueError(
             f"conv2d_same_backward: upstream shape {upstream.shape} != output shape {(c_out, h, w)}")
+    d_bias = upstream.sum(axis=(1, 2))
+    if _winograd_eligible(kernel.shape):
+        return (*_winograd_backward(x, kernel, upstream), d_bias)
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     xf, wp = _pad_wide(x, ph, pw)
     n = h * wp
@@ -134,7 +273,6 @@ def conv2d_same_backward(trace: Conv2dTrace, upstream) -> tuple[np.ndarray, np.n
     up[:, :, :w] = upstream
     up = up.reshape(c_out, n)
     d_kernel = (up @ _im2col_wide(xf, kh, kw, h, wp).T).reshape(kernel.shape)
-    d_bias = upstream.sum(axis=(1, 2))
     d_cols = (kernel.reshape(c_out, -1).T @ up).reshape(c_in, kh, kw, n)
     d_xf = np.zeros_like(xf)
     for i in range(kh):

@@ -12,6 +12,7 @@ seeded from the run seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +101,9 @@ def train(model, dataset, cfg: TrainConfig, mode: str = "unsupervised",
 
     Per epoch: seeded shuffle, forward + backward per sample, one RMSProp
     update per ``batch_size`` samples (gradients averaged). Returns the
-    model and the list of mean per-epoch losses.
+    model and the list of mean per-epoch losses. A non-finite loss or
+    gradient raises ``ValueError`` naming the parameter, the epoch and the
+    dataset index of the sample, before any weight is updated with it.
     """
     if len(dataset) == 0:
         raise ValueError("train: dataset is empty")
@@ -115,8 +118,17 @@ def train(model, dataset, cfg: TrainConfig, mode: str = "unsupervised",
         pending_count = 0
         for pos, idx in enumerate(order):
             loss, grads = _sample_loss_and_grads(model, dataset[idx], mode)
-            total += loss
             gdict = dict(grads.named_params())
+            # one reduction per sample; the per-parameter scan runs only when
+            # it is not finite (NaN/inf, or a squared norm that overflowed)
+            if not math.isfinite(loss + grad_norm(gdict)):
+                bad = [name for name, g in gdict.items() if not np.isfinite(g).all()]
+                if bad or not math.isfinite(loss):
+                    what = (f"gradient of {bad[0]} ({len(bad)} parameters non-finite)"
+                            if bad else f"loss {loss!r}")
+                    raise ValueError(
+                        f"train: non-finite {what} at epoch {epoch}, sample {idx}")
+            total += loss
             if pending is None:
                 pending = gdict
                 pending_count = 1

@@ -88,6 +88,14 @@ class TestRunConfig:
                                  r"divisible by downsample 4"):
             cli.load_run_config(path)
 
+    def test_network_sizes_checked(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[network]\ngrid_factor = 0\n")
+        with pytest.raises(cli.UsageError,
+                           match=r"bad\.ini: bad \[network\] section: grid_factor must be "
+                                 r">= 1, got 0"):
+            cli.load_run_config(path)
+
     def test_readme_configs_load(self):
         paths = set(re.findall(r"--config (\S+)", (REPO / "README.md").read_text()))
         assert paths

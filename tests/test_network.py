@@ -2,6 +2,7 @@
 end-to-end gradients at a tiny configuration, checkpoint round-trips."""
 
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -453,8 +454,20 @@ class TestCheckpoint:
          "blob name length 4294967280 exceeds the longest expected name"),
         (lambda d: set_u32(d, rank_offset(d), 0x3FFFFFFF),
          "blob 'event_fwd.w_xi': rank 1073741823 does not match expected 4"),
+        # the last blob, output_conv.b of shape (1,), again with 123.0
+        (lambda d: d + d[d.rindex(b"output_conv.b") - 4:-8] + struct.pack("<d", 123.0),
+         "duplicate blob 'output_conv.b'"),
+        (lambda d: d.replace(b"grid_factor=8", b"grid_factor=0"),
+         "bad config: grid_factor must be >= 1, got 0"),
+        (lambda d: d.replace(b"hidden_channels=6", b"hidden_channels=-6"),
+         "bad config: hidden_channels must be >= 1, got -6"),
+        (lambda d: d.replace(b"frame_size=64", b"frame_size=0"),
+         "bad config: frame_size must be >= 1, got 0"),
+        (lambda d: d.replace(b"conv_kernel=5", b"conv_kernel=-1"),
+         "bad config: conv_kernel must be >= 1, got -1"),
     ], ids=["truncated", "kind", "malformed", "unknown-key", "bad-config", "unexpected",
-            "shape", "missing", "name-length", "rank"])
+            "shape", "missing", "name-length", "rank", "duplicate", "grid-factor-0",
+            "hidden-negative", "frame-size-0", "kernel-negative"])
     def test_edited_fixture_error_names_file(self, tmp_path, edit, message):
         path = tmp_path / "edited.ckpt"
         path.write_bytes(edit((FIXTURES / "sup.ckpt").read_bytes()))

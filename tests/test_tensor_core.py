@@ -145,6 +145,9 @@ class TestConv2dSame:
     ((2, 3, 8), (1, 2, 3, 3)),
     ((1, 3, 2), (2, 1, 5, 5)),   # frame narrower than the kernel
     ((1, 1, 1), (1, 1, 3, 5)),
+    ((16, 6, 5), (16, 16, 5, 5)),   # Winograd
+    ((17, 9, 4), (16, 17, 5, 5)),   # Winograd, H and W not multiples of 4
+    ((16, 3, 3), (18, 16, 5, 5)),   # Winograd, frame smaller than one tile
 ])
 def test_conv_edge_shapes(x_shape, k_shape):
     rng = np.random.default_rng(sum(x_shape) * 31 + sum(k_shape))
@@ -161,7 +164,110 @@ def test_conv_edge_shapes(x_shape, k_shape):
     def loss(x_, k_, b_):
         return tc.conv2d_same(x_, k_, b_)[0]
 
-    assert tc.finite_diff_check(loss, [x, k, b], [dx, dk, db]) <= 1e-6
+    # the loss is linear in each argument, so a large step is exact; on the
+    # Winograd shapes it keeps the forward's rounding out of the quotient
+    step = 1e-2 if tc._winograd_eligible(k_shape) else 1e-5
+    assert tc.finite_diff_check(loss, [x, k, b], [dx, dk, db], step=step) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# conv2d_same: Winograd F(4x4,5x5) against explicit im2col
+# ---------------------------------------------------------------------------
+
+def im2col_columns(x, kh, kw):
+    """Columns [C*kh*kw, H*W] of the same-padded input, rows in (c, i, j) order."""
+    c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2))
+    cols = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return cols.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
+
+
+def conv2d_im2col(x, kernel, bias):
+    c_out, _, kh, kw = kernel.shape
+    out = kernel.reshape(c_out, -1) @ im2col_columns(x, kh, kw)
+    out += bias[:, None]
+    return out.reshape((c_out,) + x.shape[1:])
+
+
+def conv2d_im2col_backward(x, kernel, upstream):
+    """(d_x, d_kernel, d_bias) by explicit im2col and col2im."""
+    c_out, c_in, kh, kw = kernel.shape
+    _, h, w = x.shape
+    up = upstream.reshape(c_out, -1)
+    d_kernel = (up @ im2col_columns(x, kh, kw).T).reshape(kernel.shape)
+    d_cols = (kernel.reshape(c_out, -1).T @ up).reshape(c_in, kh, kw, h, w)
+    d_xp = np.zeros((c_in, h + kh - 1, w + kw - 1))
+    for i in range(kh):
+        for j in range(kw):
+            d_xp[:, i:i + h, j:j + w] += d_cols[:, i, j]
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    return d_xp[:, ph:ph + h, pw:pw + w], d_kernel, upstream.sum(axis=(1, 2))
+
+
+def max_relative(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("c_in, c_out, h, w", [
+    (16, 16, 12, 12),
+    (32, 128, 16, 16),
+    (64, 128, 64, 64),
+    (48, 32, 10, 7),    # H, W not multiples of 4
+    (16, 16, 3, 2),     # frame smaller than one tile
+    (16, 20, 5, 9),
+])
+def test_winograd_matches_im2col(c_in, c_out, h, w):
+    rng = np.random.default_rng(c_in * 1000 + c_out + h + w)
+    x = rng.normal(size=(c_in, h, w))
+    k = rng.normal(scale=0.1, size=(c_out, c_in, 5, 5))
+    b = rng.normal(size=c_out)
+    up = rng.normal(size=(c_out, h, w))
+    out, trace = tc.conv2d_same(x, k, b)
+    assert max_relative(out, conv2d_im2col(x, k, b)) <= 1e-12
+    for got, ref in zip(tc.conv2d_same_backward(trace, up), conv2d_im2col_backward(x, k, up)):
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert max_relative(got, ref) <= 1e-12
+
+
+def conv_shapes(s, n):
+    """(C_in, C_out, k) of every conv2d_same call of a model with S=s hidden
+    channels and n event classes: the ConvLSTM input and state convs, the
+    output convs of both models and the 1x1 event projection."""
+    return [(1, 4 * s, 5), (s, 4 * s, 5), (2 * s, 4 * s, 5), (s + n, s, 5), (s, s, 5),
+            (s, n, 1), (s, 1, 1)]
+
+
+# the acceptance configs (S=6 and S=4, n=4), the paper's 1->4S input convs,
+# and the 11x11 disc of post-processing: all stay on im2col
+DIRECT_SHAPES = sorted(set(conv_shapes(6, 4) + conv_shapes(4, 4)
+                           + [(1, 128, 5), (32, 16, 1), (32, 1, 1), (1, 1, 11)]))
+WINOGRAD_SHAPES = [(32, 128, 5), (64, 128, 5), (48, 32, 5), (32, 32, 5), (16, 16, 5)]
+
+
+@pytest.mark.parametrize("c_in, c_out, k", DIRECT_SHAPES + WINOGRAD_SHAPES)
+def test_conv_path_follows_channel_rule(c_in, c_out, k):
+    rng = np.random.default_rng(c_in * 100 + c_out + k)
+    x = rng.normal(size=(c_in, 64, 64))
+    kernel = rng.normal(size=(c_out, c_in, k, k))
+    b = rng.normal(size=c_out)
+    up = rng.normal(size=(c_out, 64, 64))
+    out, trace = tc.conv2d_same(x, kernel, b)
+    d_x = tc.conv2d_same_backward(trace, up)[0]
+    ref_out = conv2d_im2col(x, kernel, b)
+    ref_dx = conv2d_im2col_backward(x, kernel, up)[0]
+    direct = (c_in, c_out, k) in DIRECT_SHAPES
+    assert np.array_equal(out, ref_out) == direct
+    assert np.array_equal(d_x, ref_dx) == direct
+
+
+def test_winograd_transforms_give_1d_correlation():
+    a_t, g, b_t = tc._winograd_transforms()
+    assert a_t.shape == (4, 8) and g.shape == (8, 5) and b_t.shape == (8, 8)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        taps, d = rng.normal(size=5), rng.normal(size=8)
+        y = a_t @ ((g @ taps) * (b_t @ d))
+        np.testing.assert_allclose(y, np.correlate(d, taps, "valid"), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,31 @@ class TestTrain:
         cfg = tr.TrainConfig(learning_rate=1e-3, epochs=2, seed=0, batch_size=2)
         _, losses = tr.train(model, tiny_dataset(4), cfg)
         assert len(losses) == 2
+
+
+class TestNonFiniteGuard:
+    def test_nan_input_frame_stops_before_update(self):
+        model = net.init_unsupervised(tiny_config(), seed=3)
+        data = tiny_dataset(4)
+        data[2].frames[1, 0, 3, 4] = np.nan
+        cfg = tr.TrainConfig(learning_rate=1e-3, epochs=2, seed=5)
+        with pytest.raises(ValueError,
+                           match=r"non-finite gradient of \S+ \(\d+ parameters non-finite\) "
+                                 r"at epoch 0, sample 2"):
+            tr.train(model, data, cfg, mode="unsupervised")
+        for name, arr in model.named_params():
+            assert np.isfinite(arr).all(), name
+
+    def test_nan_weight_stops_before_update(self):
+        model = net.init_unsupervised(tiny_config(), seed=3)
+        dict(model.named_params())["recon_conv.w"][0, 0, 2, 2] = np.nan
+        before = {n: a.copy() for n, a in model.named_params()}
+        cfg = tr.TrainConfig(learning_rate=1e-3, epochs=1, seed=5)
+        first = np.random.default_rng(cfg.seed).permutation(4)[0]
+        with pytest.raises(ValueError) as info:
+            tr.train(model, tiny_dataset(4), cfg, mode="unsupervised")
+        msg = str(info.value)
+        assert msg.endswith(f"at epoch 0, sample {first}")
+        assert msg.split("gradient of ")[1].split()[0] in before
+        for name, arr in model.named_params():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
