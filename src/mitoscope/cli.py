@@ -4,7 +4,8 @@ Subcommands wire the library into reproducible runs:
 
     mitoscope synth  --config C --out DIR
     mitoscope train  --config C --frames DIR --mode unsup|sup --out model.ckpt
-    mitoscope detect --model model.ckpt --frames DIR --out detections.csv
+    mitoscope detect --model model.ckpt --frames DIR [--range A:B]
+                     [--division-class K] --out detections.csv
     mitoscope eval   --detections D.csv --annotations A.csv --out scores.csv
 
 Every command echoes its effective configuration to an ``effective_config.ini``
@@ -19,7 +20,6 @@ import configparser
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -264,67 +264,48 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _print_rank_table(ranking) -> None:
-    print("class  mean_score    patches")
-    for class_id, score, count in ranking:
-        print(f"{class_id:5d}  {score:.6f}  {count:9d}")
-
-
 def cmd_detect(args) -> int:
     cfg = load_run_config(args.config)
     model = net.load_checkpoint(args.model)
     cfg.network = model.config
+    mode = "sup" if model.kind == "supervised" else "unsup"
+    n, k = model.config.event_classes, args.division_class
+    if k is not None and mode == "sup":
+        raise UsageError("--division-class applies only to unsupervised checkpoints")
+    if k is not None and not 0 <= k < n:
+        raise UsageError(f"--division-class {k} out of range for {n} classes")
     video = dp.load_frames(args.frames)
     frame_range = _parse_range(args.range, video.count)
     post = cfg.postprocess
-
-    mode = "sup" if model.kind == "supervised" else "unsup"
     subs = _build_dataset(cfg, video, frame_range, mode, augmented=False)
 
-    if mode == "sup":
-        def forward(sub):
-            return net.supervised_maps(model, list(sub.frames))[0]
-    else:
-        def forward(sub):
-            return net.detect_events(model, list(sub.frames[cfg.network.encoder_len:]))
+    # Each window's maps are reduced at once and dropped when the next
+    # window's replace them. Dropped any sooner, the heap is trimmed between
+    # windows and each forward re-faults its scratch (unsup desk: 10x faults).
+    enc, g = cfg.network.encoder_len, cfg.network.grid_factor
+    classes = range(n) if k is None else [k]
+    detections, skipped = [], 0
+    for sub in subs:
+        if mode == "sup":
+            maps = net.supervised_maps(model, list(sub.frames))[0]
+            detections += pp.threshold_detections(maps, sub, post.threshold)
+        else:
+            maps = net.detect_events(model, list(sub.frames[enc:]))
+            dets, skips = pp.window_detections(pp.class_grid(maps, g), sub, classes,
+                                               post.lookahead, post.disc_radius, g,
+                                               frame_offset=enc)
+            detections += dets
+            skipped += skips
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            all_maps = list(pool.map(forward, subs))
-    else:
-        all_maps = [forward(sub) for sub in subs]
-
-    if mode == "unsup":
-        n = model.config.event_classes
-        if args.division_class is None:
-            ranking = pp.rank_classes(all_maps, subs, n, post.lookahead,
-                                      post.disc_radius, model.config.grid_factor,
-                                      frame_offset=cfg.network.encoder_len)
-            _print_rank_table(ranking)
-            print("pick an event class and re-run with --division-class K")
-            return 2
-        if args.division_class >= n:
-            raise UsageError(f"--division-class {args.division_class} out of range "
-                             f"for {n} classes")
-        detections = []
-        skipped = 0
-        for maps, sub in zip(all_maps, subs):
-            for patch in pp.group_activations(maps, args.division_class,
-                                              model.config.grid_factor):
-                det = pp.locate_centroid(sub, patch, post.lookahead, post.disc_radius,
-                                         model.config.grid_factor,
-                                         frame_offset=cfg.network.encoder_len)
-                if det is None:
-                    skipped += 1
-                else:
-                    detections.append(det)
-        if skipped:
-            print(f"skipped {skipped} patches too close to a window end for the "
-                  f"{post.lookahead}-frame lookahead")
-    else:
-        detections = []
-        for maps, sub in zip(all_maps, subs):
-            detections.extend(pp.threshold_detections(maps, sub, post.threshold))
+    if mode == "unsup" and k is None:
+        print("class  mean_score    patches")
+        for class_id, score, count in pp.rank_classes(detections):
+            print(f"{class_id:5d}  {score:.6f}  {count:9d}")
+        print("pick an event class and re-run with --division-class K")
+        return 2
+    if skipped:
+        print(f"skipped {skipped} patches too close to a window end for the "
+              f"{post.lookahead}-frame lookahead")
 
     merged = pp.merge_global(detections, post.merge_spatial, post.merge_temporal)
     for d in merged:
@@ -404,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--range", default=None, metavar="A:B")
     p.add_argument("--division-class", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 

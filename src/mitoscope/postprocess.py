@@ -1,13 +1,14 @@
 """Turn raw event maps (unsupervised) or response maps (supervised) into
 point detections.
 
-Unsupervised route: group positive activations of one class into
-spatio-temporal patch sequences, then localize each patch at the pixel
-with the highest mean intensity increase over a two-frame lookahead inside
-a small disc (dividing cells shrink and brighten, so the split shows up as
-a local brightness rise). Supervised route: threshold the response maps
-and take component centroids. Detections from overlapping windows are
-deduplicated by greedy score-ordered clustering.
+Unsupervised route: reduce a window's event maps to its grid of winning
+classes, group the cells of one class into spatio-temporal patch
+sequences, then localize each patch at the pixel with the highest mean
+intensity increase over a two-frame lookahead inside a small disc
+(dividing cells shrink and brighten, so the split shows up as a local
+brightness rise). Supervised route: threshold the response maps and take
+component centroids. Detections from overlapping windows are deduplicated
+by greedy score-ordered clustering.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from .tensor_core import conv2d_same
 __all__ = [
     "PatchSequence",
     "Detection",
+    "class_grid",
     "group_activations",
     "locate_centroid",
     "threshold_detections",
     "merge_global",
     "rank_classes",
+    "window_detections",
     "disc_mask",
 ]
 
@@ -53,15 +56,19 @@ class PatchSequence:
         return min(frames), max(frames)
 
 
-def group_activations(event_maps, class_id: int, grid_factor: int = 8) -> list:
-    """Connected components over (frame, block) of blocks whose class
-    activation is positive."""
-    n_classes = event_maps[0].shape[0]
-    if class_id >= n_classes:
-        raise ValueError(f"class id {class_id} out of range for {n_classes} classes")
-    active = np.stack([m[class_id, ::grid_factor, ::grid_factor] > 0
-                       for m in event_maps])  # [T, gh, gw]
-    return [PatchSequence(class_id, sorted(members)) for members in _components(active)]
+def class_grid(event_maps, grid_factor: int = 8) -> np.ndarray:
+    """[T, M/g, M/g] winning class per grid cell of a sequence of event
+    maps; exact because a well-formed map has one active class per cell."""
+    return np.stack([m[:, ::grid_factor, ::grid_factor].argmax(0) for m in event_maps])
+
+
+def group_activations(grid: np.ndarray, class_id: int) -> list:
+    """Connected components over (frame, block) of the cells of a class
+    grid won by ``class_id``."""
+    if class_id < 0:
+        raise ValueError(f"class id {class_id} out of range")
+    return [PatchSequence(class_id, sorted(members))
+            for members in _components(grid == class_id)]
 
 
 def _components(mask: np.ndarray) -> list:
@@ -205,22 +212,31 @@ def merge_global(detections, spatial: float = 10.0, temporal: int = 2) -> list:
     return seeds
 
 
-def rank_classes(map_seqs, subs, n_classes: int, lookahead: int = 2,
-                 radius: float = 5.0, grid_factor: int = 8,
-                 frame_offset: int = 0) -> list:
-    """Mean patch score per class over all subsequences, descending; ties
-    order by class index. Classes with no scoreable patch are omitted.
-    A ranking aid for picking the event class of interest, never applied
+def window_detections(grid, sub, classes, lookahead: int = 2, radius: float = 5.0,
+                      grid_factor: int = 8, frame_offset: int = 0) -> tuple:
+    """Detections of every patch of the given classes in one window's class
+    grid, in class then patch order, plus the count of patches skipped as
+    too close to the window end for the lookahead. The disc-mean score maps
+    are computed once per window."""
+    patches = [patch for c in classes for patch in group_activations(grid, c)]
+    score_maps = _disc_mean_maps(sub.frames, lookahead, radius) if patches else None
+    detections = []
+    for patch in patches:
+        det = locate_centroid(sub, patch, lookahead, radius, grid_factor,
+                              frame_offset=frame_offset, score_maps=score_maps)
+        if det is not None:
+            detections.append(det)
+    return detections, len(patches) - len(detections)
+
+
+def rank_classes(detections) -> list:
+    """(class, mean score, count) per class over raw unsupervised
+    detections, by descending mean; ties order by class index. A ranking
+    aid for picking the event class of interest, never applied
     automatically."""
-    scores: dict = {c: [] for c in range(n_classes)}
-    for maps, sub in zip(map_seqs, subs):
-        score_maps = _disc_mean_maps(sub.frames, lookahead, radius)
-        for c in range(n_classes):
-            for patch in group_activations(maps, c, grid_factor):
-                det = locate_centroid(sub, patch, lookahead, radius, grid_factor,
-                                      frame_offset=frame_offset, score_maps=score_maps)
-                if det is not None:
-                    scores[c].append(det.score)
-    ranking = [(c, float(np.mean(v)), len(v)) for c, v in scores.items() if v]
+    scores: dict = {}
+    for d in detections:
+        scores.setdefault(d.class_id, []).append(d.score)
+    ranking = [(c, float(np.mean(v)), len(v)) for c, v in scores.items()]
     ranking.sort(key=lambda item: (-item[1], item[0]))
     return ranking

@@ -337,22 +337,23 @@ def test_criterion_7_unsupervised_end_to_end(synth_video):
 
     det_subs = dp.build_subsequences(video, window_size=64, window_step=64,
                                      downsample=1, length=15)
-    all_maps = []
+    # the CLI's two runs: rank every class, then detect the top one
+    grids, raw = [], []
     for sub in det_subs:
         maps = net.detect_events(model, list(sub.frames[cfg.encoder_len:]))
         for y in maps:
             assert net.event_map_ok(y, cfg.grid_factor)
-        all_maps.append(maps)
+        grids.append(pp.class_grid(maps, cfg.grid_factor))
+        raw += pp.window_detections(grids[-1], sub, range(cfg.event_classes),
+                                    grid_factor=cfg.grid_factor,
+                                    frame_offset=cfg.encoder_len)[0]
 
-    ranking = pp.rank_classes(all_maps, det_subs, cfg.event_classes,
-                              frame_offset=cfg.encoder_len)
-    top_class = ranking[0][0]
+    top_class = pp.rank_classes(raw)[0][0]
     detections = []
-    for maps, sub in zip(all_maps, det_subs):
-        for patch in pp.group_activations(maps, top_class, cfg.grid_factor):
-            det = pp.locate_centroid(sub, patch, frame_offset=cfg.encoder_len)
-            if det is not None:
-                detections.append(det)
+    for grid, sub in zip(grids, det_subs):
+        detections += pp.window_detections(grid, sub, [top_class],
+                                           grid_factor=cfg.grid_factor,
+                                           frame_offset=cfg.encoder_len)[0]
     merged = pp.merge_global(detections, 10.0, 2)
     scores = ev.prf1(ev.match(merged, annotations, spatial_th=10, temporal_th=3))
     elapsed = time.time() - start

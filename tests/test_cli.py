@@ -3,13 +3,16 @@ usage errors, and the external file formats."""
 
 import csv
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mitoscope import cli
-from mitoscope.data_pipeline import load_annotations, load_frames, read_pgm
+from mitoscope.data_pipeline import (VideoSource, export_video, load_annotations,
+                                     load_frames, read_pgm)
+from mitoscope.network import NetworkConfig, init_unsupervised, save_checkpoint
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -50,6 +53,10 @@ def tiny_config(tmp_path):
 
 def run(argv):
     return cli.main(argv)
+
+
+def no_forward(*args, **kwargs):
+    raise AssertionError("forward pass ran")
 
 
 class TestRunConfig:
@@ -228,11 +235,17 @@ class TestDetectCommand:
         assert "--division-class" in out
         assert not (tmp_path / "d.csv").exists()
 
-    def test_class_out_of_range(self, tmp_path, tiny_config, synth_video, unsup_ckpt):
-        code = run(["detect", "--config", tiny_config, "--model", str(unsup_ckpt),
-                    "--frames", str(synth_video), "--division-class", "99",
-                    "--out", str(tmp_path / "d.csv")])
-        assert code == 2
+    def test_class_out_of_range(self, tmp_path, tiny_config, synth_video, unsup_ckpt,
+                                monkeypatch, capsys):
+        monkeypatch.setattr(cli.net, "detect_events", no_forward)
+        for k in ("-2", "-1", "2", "99"):
+            code = run(["detect", "--config", tiny_config, "--model", str(unsup_ckpt),
+                        "--frames", str(synth_video), "--division-class", k,
+                        "--out", str(tmp_path / "d.csv")])
+            assert code == 2
+            assert (f"--division-class {k} out of range for 2 classes"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "d.csv").exists()
 
     def test_detections_within_bounds(self, tmp_path, tiny_config, synth_video,
                                       unsup_ckpt):
@@ -266,15 +279,38 @@ class TestDetectCommand:
         assert f"{bad}: truncated blob: output_conv.b" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
-    def test_workers_give_identical_output(self, tmp_path, tiny_config, synth_video,
-                                           unsup_ckpt):
-        a = tmp_path / "w1" / "d.csv"
-        b = tmp_path / "w4" / "d.csv"
-        for out, workers in ((a, "1"), (b, "4")):
-            assert run(["detect", "--config", tiny_config, "--model", str(unsup_ckpt),
-                        "--frames", str(synth_video), "--division-class", "0",
-                        "--workers", workers, "--out", str(out)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_class_with_supervised_checkpoint_rejected(self, tmp_path, tiny_config,
+                                                       synth_video, monkeypatch, capsys):
+        monkeypatch.setattr(cli.net, "supervised_maps", no_forward)
+        code = run(["detect", "--config", tiny_config,
+                    "--model", str(REPO / "benchmarks" / "fixtures" / "sup.ckpt"),
+                    "--frames", str(synth_video), "--division-class", "0",
+                    "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "--division-class applies only to unsupervised" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_full_geometry_ranking_holds_one_window(self, tmp_path, capsys):
+        # a 1392x1040 video at the [data] defaults: 80 windows of 256 px,
+        # step 128, x4 down to 64x64; holding every window's event maps
+        # would take 80 x 10 x [16,64,64] float64 = 419 MB
+        rng = np.random.default_rng(0)
+        export_video(VideoSource.from_arrays(
+            rng.integers(0, 256, (15, 1040, 1392), dtype=np.uint8)), [], tmp_path / "video")
+        ckpt = tmp_path / "paper.ckpt"
+        save_checkpoint(init_unsupervised(NetworkConfig(hidden_channels=1,
+                                                        event_classes=16), seed=0), ckpt)
+        tracemalloc.start()
+        try:
+            code = run(["detect", "--model", str(ckpt), "--frames", str(tmp_path / "video"),
+                        "--out", str(tmp_path / "d.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "mean_score" in out and "--division-class" in out
+        assert peak < 150 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MB"
 
 
 class TestEvalCommand:

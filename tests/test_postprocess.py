@@ -4,17 +4,25 @@ centroid localization, thresholded components, dedup clustering oracle."""
 import numpy as np
 import pytest
 
+from mitoscope import network as net
 from mitoscope import postprocess as pp
 from mitoscope.data_pipeline import Subsequence
 
 
-def make_maps(t, n, m, active):
-    """Event maps with given (frame, class, block_row, block_col, value)
-    activations at grid factor 8."""
-    maps = [np.zeros((n, m, m)) for _ in range(t)]
-    for f, c, br, bc, v in active:
-        maps[f][c, br * 8:(br + 1) * 8, bc * 8:(bc + 1) * 8] = v
-    return maps
+def make_grid(t, active, background=2, blocks=2):
+    """[t, blocks, blocks] class grid of the background class with given
+    (frame, class, block_row, block_col) cells; blocks are 8x8 pixels."""
+    grid = np.full((t, blocks, blocks), background)
+    for f, c, br, bc in active:
+        grid[f, br, bc] = c
+    return grid
+
+
+def wta_maps(rng, t, n, m=32, g=8):
+    """Winner-take-all event maps from the event head on random hidden
+    states, as ``detect_events`` returns them."""
+    w, b = rng.normal(size=(n, 3, 1, 1)), rng.normal(size=n)
+    return [net.event_head(rng.normal(size=(3, m, m)), w, b, g) for _ in range(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -76,37 +84,45 @@ def merge_oracle(detections, spatial, temporal):
 # grouping
 # ---------------------------------------------------------------------------
 
+class TestClassGrid:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grid_cells_are_the_active_classes(self, seed):
+        maps = wta_maps(np.random.default_rng(seed), t=4, n=5)
+        grid = pp.class_grid(maps, 8)
+        assert grid.shape == (4, 4, 4)
+        for c in range(5):
+            active = np.stack([m[c, ::8, ::8] > 0 for m in maps])
+            np.testing.assert_array_equal(grid == c, active)
+
+
 class TestGroupActivations:
     def test_empty_maps(self):
-        maps = make_maps(3, 2, 16, [])
-        assert pp.group_activations(maps, 0) == []
+        assert pp.group_activations(make_grid(3, []), 0) == []
 
     def test_singleton(self):
-        maps = make_maps(3, 2, 16, [(1, 0, 0, 1, 0.5)])
-        patches = pp.group_activations(maps, 0)
+        patches = pp.group_activations(make_grid(3, [(1, 0, 0, 1)]), 0)
         assert len(patches) == 1
         assert patches[0].members == [(1, 0, 1)]
         assert patches[0].frame_span == (1, 1)
 
     def test_diagonal_blocks_not_connected(self):
-        maps = make_maps(1, 2, 16, [(0, 0, 0, 0, 0.5), (0, 0, 1, 1, 0.5)])
-        assert len(pp.group_activations(maps, 0)) == 2
+        grid = make_grid(1, [(0, 0, 0, 0), (0, 0, 1, 1)])
+        assert len(pp.group_activations(grid, 0)) == 2
 
     def test_temporal_adjacency_connects(self):
-        maps = make_maps(3, 2, 16, [(0, 0, 0, 0, 0.5), (1, 0, 0, 0, 0.4),
-                                    (1, 0, 0, 1, 0.4)])
-        patches = pp.group_activations(maps, 0)
+        grid = make_grid(3, [(0, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 1)])
+        patches = pp.group_activations(grid, 0)
         assert len(patches) == 1
         assert sorted(patches[0].members) == [(0, 0, 0), (1, 0, 0), (1, 0, 1)]
 
     def test_classes_are_independent(self):
-        maps = make_maps(1, 2, 16, [(0, 0, 0, 0, 0.5), (0, 1, 0, 1, 0.5)])
-        assert len(pp.group_activations(maps, 0)) == 1
-        assert len(pp.group_activations(maps, 1)) == 1
+        grid = make_grid(1, [(0, 0, 0, 0), (0, 1, 0, 1)])
+        assert len(pp.group_activations(grid, 0)) == 1
+        assert len(pp.group_activations(grid, 1)) == 1
 
     def test_bad_class_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            pp.group_activations(make_maps(1, 2, 16, []), 5)
+            pp.group_activations(make_grid(1, []), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +275,33 @@ class TestMergeGlobal:
 
 
 # ---------------------------------------------------------------------------
+# window_detections
+# ---------------------------------------------------------------------------
+
+class TestWindowDetections:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_class_is_the_subset_of_all(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = pp.class_grid(wta_maps(rng, t=4, n=4), 8)
+        grid[-1, 0, 0] = 4  # a patch in the last frame: no lookahead, skipped
+        sub = Subsequence(rng.uniform(0.1, 0.9, (6, 1, 32, 32)), 0, 0, 0)
+        every, skipped = pp.window_detections(grid, sub, range(5), frame_offset=2)
+        total_skipped = 0
+        for k in range(5):
+            dets, skips = pp.window_detections(grid, sub, [k], frame_offset=2)
+            assert dets == [d for d in every if d.class_id == k]
+            located = [pp.locate_centroid(sub, patch, frame_offset=2)
+                       for patch in pp.group_activations(grid, k)]
+            assert dets == [d for d in located if d is not None]
+            assert skips == located.count(None)
+            total_skipped += skips
+        assert skipped == total_skipped > 0
+
+    def test_no_patches_no_detections(self):
+        assert pp.window_detections(make_grid(3, []), flat_sub(3), [0, 1]) == ([], 0)
+
+
+# ---------------------------------------------------------------------------
 # rank_classes
 # ---------------------------------------------------------------------------
 
@@ -267,17 +310,19 @@ class TestRankClasses:
         # class 1 sits on a brightening site, class 0 on static background
         sub = flat_sub(t=6, m=16)
         sub.frames[4, 0, 4, 4] = 0.95
-        maps = make_maps(6, 2, 16, [(2, 1, 0, 0, 0.6)] +
-                         [(t, 0, 1, 1, 0.5) for t in range(6)])
-        ranking = pp.rank_classes([maps], [sub], n_classes=2)
+        grid = make_grid(6, [(2, 1, 0, 0)] + [(t, 0, 1, 1) for t in range(6)])
+        ranking = pp.rank_classes(pp.window_detections(grid, sub, [0, 1])[0])
         assert ranking[0][0] == 1
         assert ranking[0][1] > ranking[1][1]
 
     def test_empty_maps_empty_ranking(self):
-        maps = make_maps(3, 2, 16, [])
-        assert pp.rank_classes([maps], [flat_sub(3)], 2) == []
+        assert pp.rank_classes([]) == []
 
     def test_equal_scores_order_by_class(self):
-        maps = make_maps(3, 3, 16, [(0, 2, 0, 0, 0.5), (0, 1, 1, 1, 0.5)])
-        ranking = pp.rank_classes([maps], [flat_sub(3)], 3)
-        assert [c for c, _, _ in ranking] == [1, 2]
+        dets = [pp.Detection(0, 0, 0, 2, 0.5), pp.Detection(0, 8, 8, 1, 0.5)]
+        assert [c for c, _, _ in pp.rank_classes(dets)] == [1, 2]
+
+    def test_mean_and_count_per_class(self):
+        dets = [pp.Detection(0, 0, 0, c, s) for c, s in
+                ((3, 0.25), (0, 0.625), (3, 0.75), (3, 0.5))]
+        assert pp.rank_classes(dets) == [(0, 0.625, 1), (3, 0.5, 3)]
