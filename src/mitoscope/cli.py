@@ -228,7 +228,10 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     _apply_env_seed(cfg)
     if args.epochs is not None:
-        cfg.training.epochs = args.epochs
+        try:
+            cfg.training = replace(cfg.training, epochs=args.epochs)
+        except ValueError as exc:
+            raise UsageError(f"--epochs: {exc}") from exc
     video = dp.load_frames(args.frames)
     frame_range = _parse_range(args.train_range, video.count)
 

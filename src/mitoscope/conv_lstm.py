@@ -12,10 +12,10 @@ Gate recurrences (all convolutions same-padded, peepholes elementwise):
 Note the output gate peeks at the NEW cell state. Peephole weights are
 per-element tensors over [S,H,W].
 
-Weights are stored stacked, as the two gate convolutions consume them:
-the input and state kernels of the four gates (order i, f, c, o) form one
-[4S,C,k,k] and one [4S,S,k,k] kernel, the biases one [4S] vector, and the
-three peepholes (i, f, o) one [3,S,H,W] array.
+A step runs the four gates' ``W_x * x + W_h * h_prev`` as one convolution of
+[x; h_prev] with the kernel [W_x | W_h]. The weights stay stored by role
+(``ConvLstmParams``), so the per-gate arrays keep their checkpoint names and
+stay contiguous views, as ``finite_diff_check`` probing needs.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .tensor_core import (
+    Conv2dTrace,
     conv2d_same,
     conv2d_same_backward,
     sigmoid,
@@ -91,14 +92,12 @@ class ConvLstmParams:
 @dataclass
 class StepTrace:
     prev: CellState
+    x: np.ndarray
     i: np.ndarray
     f: np.ndarray
     g: np.ndarray  # tanh candidate
     o: np.ndarray
     c: np.ndarray
-    tanh_c: np.ndarray
-    conv_x: object
-    conv_h: object
 
 
 @dataclass
@@ -114,8 +113,15 @@ def zero_state(state_channels: int, height: int, width: int) -> CellState:
     return CellState(np.zeros(shape), np.zeros(shape))
 
 
-def step(params: ConvLstmParams, x: np.ndarray, prev: CellState) -> tuple[CellState, StepTrace]:
-    """One recurrence step. Returns the new state and the trace backward needs."""
+def _fused_kernel(params: ConvLstmParams) -> np.ndarray:
+    """The [4S,C+S,k,k] kernel [W_x | W_h] that convolves [x; h_prev]."""
+    return np.concatenate([params.w_x, params.w_h], axis=1)
+
+
+def step(params: ConvLstmParams, x: np.ndarray, prev: CellState,
+         kernel: np.ndarray | None = None) -> tuple[CellState, StepTrace]:
+    """One recurrence step. Returns the new state and the trace backward needs.
+    ``kernel`` is ``params``' fused kernel when the caller holds it already."""
     s = params.state_channels
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] != params.in_channels:
@@ -128,11 +134,9 @@ def step(params: ConvLstmParams, x: np.ndarray, prev: CellState) -> tuple[CellSt
     if params.peep.shape[1:] != prev.c.shape:
         raise ValueError(
             f"step: peephole shape {params.peep.shape[1:]} != state shape {prev.c.shape}")
-
-    # biases ride on the input convolution
-    z_x, conv_x = conv2d_same(x, params.w_x, params.b)
-    z_h, conv_h = conv2d_same(prev.h, params.w_h, np.zeros(4 * s))
-    z = z_x + z_h
+    if kernel is None:
+        kernel = _fused_kernel(params)
+    z, _ = conv2d_same(np.concatenate([x, prev.h]), kernel, params.b)
 
     w_ci, w_cf, w_co = params.peep
     i = sigmoid(z[:s] + w_ci * prev.c)
@@ -140,13 +144,12 @@ def step(params: ConvLstmParams, x: np.ndarray, prev: CellState) -> tuple[CellSt
     g = tanh_act(z[2 * s:3 * s])
     c = f * prev.c + i * g
     o = sigmoid(z[3 * s:] + w_co * c)
-    tc = tanh_act(c)
-    h = o * tc
-    return CellState(h, c), StepTrace(prev, i, f, g, o, c, tc, conv_x, conv_h)
+    h = o * tanh_act(c)
+    return CellState(h, c), StepTrace(prev, x, i, f, g, o, c)
 
 
-def _step_backward(params: ConvLstmParams, tr: StepTrace, d_h: np.ndarray,
-                   d_c_in: np.ndarray, grads: ConvLstmParams):
+def _step_backward(params: ConvLstmParams, kernel: np.ndarray, tr: StepTrace,
+                   d_h: np.ndarray, d_c_in: np.ndarray, grads: ConvLstmParams):
     """Reverse one step. Accumulates parameter gradients into ``grads`` and
     returns (d_x, d_h_prev, d_c_prev).
 
@@ -154,7 +157,7 @@ def _step_backward(params: ConvLstmParams, tr: StepTrace, d_h: np.ndarray,
     feeds back into d_c before the forget/input/candidate split.
     """
     i, f, g, o = tr.i, tr.f, tr.g, tr.o
-    tc = tr.tanh_c
+    tc = tanh_act(tr.c)
     w_ci, w_cf, w_co = params.peep
 
     d_o = d_h * tc
@@ -175,12 +178,13 @@ def _step_backward(params: ConvLstmParams, tr: StepTrace, d_h: np.ndarray,
     d_c_prev += d_zi * w_ci + d_zf * w_cf
 
     d_z = np.concatenate([d_zi, d_zf, d_zg, d_zo], axis=0)
-    d_x, d_wx, d_b = conv2d_same_backward(tr.conv_x, d_z)
-    d_h_prev, d_wh, _ = conv2d_same_backward(tr.conv_h, d_z)
-    grads.w_x += d_wx
-    grads.w_h += d_wh
+    conv = Conv2dTrace(np.concatenate([tr.x, tr.prev.h]), kernel)
+    d_in, d_k, d_b = conv2d_same_backward(conv, d_z)
+    c_in = params.in_channels
+    grads.w_x += d_k[:, :c_in]
+    grads.w_h += d_k[:, c_in:]
     grads.b += d_b
-    return d_x, d_h_prev, d_c_prev
+    return d_in[:c_in], d_in[c_in:], d_c_prev
 
 
 def unroll(params: ConvLstmParams, xs, init: CellState, reverse: bool = False) -> UnrollResult:
@@ -191,11 +195,12 @@ def unroll(params: ConvLstmParams, xs, init: CellState, reverse: bool = False) -
     if n == 0:
         raise ValueError("unroll: cannot unroll an empty sequence")
     order = range(n - 1, -1, -1) if reverse else range(n)
+    kernel = _fused_kernel(params)
     state = init
     states: list = [None] * n
     traces = []
     for t in order:
-        state, tr = step(params, xs[t], state)
+        state, tr = step(params, xs[t], state, kernel)
         states[t] = state
         traces.append(tr)
     return UnrollResult(states, state, traces, reverse)
@@ -218,11 +223,13 @@ def bptt(params: ConvLstmParams, run: UnrollResult, d_hidden,
     d_h_next = np.zeros(shape)
     d_c_next = np.zeros(shape) if d_c_final is None else np.asarray(d_c_final, dtype=np.float64)
     d_inputs: list = [None] * n
+    kernel = _fused_kernel(params)
     for j in range(n - 1, -1, -1):
         t = n - 1 - j if run.reverse else j
         d_h = d_h_next if d_hidden[t] is None else d_hidden[t] + d_h_next
-        d_x, d_h_next, d_c_next = _step_backward(params, run.traces[j], d_h, d_c_next, grads)
-        d_inputs[t] = d_x
+        d_x, d_h_next, d_c_next = _step_backward(params, kernel, run.traces[j], d_h,
+                                                 d_c_next, grads)
+        d_inputs[t] = d_x.copy()  # a view would pin the whole [C+S,H,W] gradient
     return grads, d_inputs, CellState(d_h_next, d_c_next)
 
 

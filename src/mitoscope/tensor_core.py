@@ -38,9 +38,13 @@ counts. Timed per call at 64x64 on one BLAS thread (``tools/conv_paths.py``),
 Winograd forward plus backward is 2.5x slower at 1->16, about even at 4->16
 and 6->24, 1.5x faster at 16->16 and 2.4x at 64->128. Its forward alone
 loses on 4->16, 6->24, 8->16 and 8->32; from 12->12 up both passes win on
-every shape measured. At 16 every shape of the paper's model except its
-1->128 input convs takes Winograd, and every desk-scale shape (12 channels
-or fewer on one side) stays on im2col, bit for bit.
+every shape measured. A ConvLSTM layer convolves [x; h_prev] in one call,
+(C+S)->4S (see ``conv_lstm``). At S=32, the paper's scale, its 33->128 and
+96->128 take Winograd, as do the 48->32 and 32->32 output convs; of the
+model's convs only the 1x1 ones stay on im2col. At desk scale the fused
+5->16, 7->24 and 12->16 and every output conv stay on im2col; the S=6
+event merge's 18->24 takes Winograd, which ``BENCH_conv_paths.json``
+already times faster at 12->24.
 """
 
 from __future__ import annotations

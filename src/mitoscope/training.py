@@ -41,6 +41,13 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        # a negative bound would flip every clipped gradient
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
+            raise ValueError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
 
 
 @dataclass
@@ -72,6 +79,8 @@ def grad_norm(grads: dict) -> float:
 
 def clip_gradients(grads: dict, max_norm: float) -> None:
     """Scale all gradients so the global L2 norm is at most ``max_norm``."""
+    if not max_norm > 0.0:
+        raise ValueError(f"clip_gradients: max_norm must be > 0, got {max_norm}")
     norm = grad_norm(grads)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

@@ -175,16 +175,15 @@ class TestTrainCommand:
         assert len(loss_rows) == 3  # header + 2 epochs
         assert (ckpt.parent / "loss.png").read_bytes()[:4] == b"\x89PNG"
 
-    def test_zero_epochs_equals_initialization(self, tmp_path, tiny_config, synth_video):
-        from mitoscope.network import init_unsupervised, load_checkpoint
+    @pytest.mark.parametrize("epochs", ["0", "-2"])
+    def test_nonpositive_epochs_is_usage_error(self, tmp_path, tiny_config, synth_video,
+                                               capsys, epochs):
         ckpt = tmp_path / "zero" / "model.ckpt"
         code = run(["train", "--config", tiny_config, "--frames", str(synth_video),
-                    "--mode", "unsup", "--epochs", "0", "--out", str(ckpt)])
-        assert code == 0
-        loaded = load_checkpoint(ckpt)
-        fresh = init_unsupervised(loaded.config, seed=5)
-        for (n, a), (_, b) in zip(loaded.named_params(), fresh.named_params()):
-            assert (a == b).all(), n
+                    "--mode", "unsup", "--epochs", epochs, "--out", str(ckpt)])
+        assert code == 2
+        assert "--epochs" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_identical_checkpoint_bytes_on_rerun(self, tmp_path, tiny_config,
                                                  synth_video):

@@ -301,6 +301,83 @@ class TestBptt:
 
 
 # ---------------------------------------------------------------------------
+# fused step against a two-convolution reference
+# ---------------------------------------------------------------------------
+
+def two_conv_unroll(p, xs, init):
+    """Forward steps with separate input and state convolutions, z = z_x + z_h."""
+    s = p.state_channels
+    w_ci, w_cf, w_co = p.peep
+    state, saved = init, []
+    for x in xs:
+        z = tc.conv2d_same(x, p.w_x, p.b)[0] + tc.conv2d_same(state.h, p.w_h, np.zeros(4 * s))[0]
+        i = tc.sigmoid(z[:s] + w_ci * state.c)
+        f = tc.sigmoid(z[s:2 * s] + w_cf * state.c)
+        g = np.tanh(z[2 * s:3 * s])
+        c = f * state.c + i * g
+        o = tc.sigmoid(z[3 * s:] + w_co * c)
+        saved.append((x, state, i, f, g, o, c))
+        state = cl.CellState(o * np.tanh(c), c)
+    return state, saved
+
+
+def two_conv_bptt(p, saved, d_hidden):
+    """BPTT through ``two_conv_unroll``, each convolution reversed on its own."""
+    grads = p.zeros_like()
+    w_ci, w_cf, w_co = p.peep
+    d_h_next = d_c = np.zeros_like(saved[0][1].h)
+    d_xs = []
+    for (x, prev, i, f, g, o, c), up in zip(reversed(saved), reversed(d_hidden)):
+        d_h = up + d_h_next
+        tanh_c = np.tanh(c)
+        d_zo = d_h * tanh_c * o * (1.0 - o)
+        d_c = d_c + d_h * o * (1.0 - tanh_c ** 2) + d_zo * w_co
+        d_zi = d_c * g * i * (1.0 - i)
+        d_zf = d_c * prev.c * f * (1.0 - f)
+        d_zg = d_c * i * (1.0 - g * g)
+        grads.peep += np.stack([d_zi * prev.c, d_zf * prev.c, d_zo * c])
+        d_z = np.concatenate([d_zi, d_zf, d_zg, d_zo])
+        d_x, d_wx, d_b = tc.conv2d_same_backward(tc.conv2d_same(x, p.w_x, p.b)[1], d_z)
+        d_h_next, d_wh, _ = tc.conv2d_same_backward(
+            tc.conv2d_same(prev.h, p.w_h, p.b)[1], d_z)
+        grads.w_x += d_wx
+        grads.w_h += d_wh
+        grads.b += d_b
+        d_c = d_c * f + d_zi * w_ci + d_zf * w_cf
+        d_xs.insert(0, d_x)
+    return grads, d_xs, cl.CellState(d_h_next, d_c)
+
+
+def relative(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+# fused C+S -> 4S: 5 -> 16 and 7 -> 24 stay on im2col, 18 -> 24 and 33 -> 128
+# run Winograd while their two-conv halves (12 -> 24, 1 -> 128) do not
+@pytest.mark.parametrize("c_in, s, size", [(1, 4, 9), (1, 6, 8), (12, 6, 8), (1, 32, 8)])
+def test_fused_step_matches_two_conv_reference(c_in, s, size):
+    rng = np.random.default_rng(c_in * 100 + s)
+    p = tiny_params(rng, c_in=c_in, s=s, h=size, w=size)
+    xs = [rng.uniform(-1, 1, (c_in, size, size)) for _ in range(3)]
+    init = cl.CellState(rng.uniform(-0.5, 0.5, (s, size, size)),
+                        rng.uniform(-0.5, 0.5, (s, size, size)))
+    d_hidden = [rng.normal(size=(s, size, size)) for _ in range(3)]
+
+    run = cl.unroll(p, xs, init)
+    ref_final, saved = two_conv_unroll(p, xs, init)
+    assert relative(run.final.h, ref_final.h) <= 1e-12
+    assert relative(run.final.c, ref_final.c) <= 1e-12
+
+    grads, d_xs, d_init = cl.bptt(p, run, d_hidden)
+    ref_grads, ref_d_xs, ref_d_init = two_conv_bptt(p, saved, d_hidden)
+    for (name, got), (_, ref) in zip(grads.named_arrays(), ref_grads.named_arrays()):
+        assert relative(got, ref) <= 1e-12, name
+    for got, ref in zip(d_xs + [d_init.h, d_init.c], ref_d_xs + [ref_d_init.h, ref_d_init.c]):
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert relative(got, ref) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # init
 # ---------------------------------------------------------------------------
 

@@ -64,6 +64,13 @@ class TestRmspropStep:
         with pytest.raises(ValueError, match="learning_rate"):
             tr.TrainConfig(learning_rate=-1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
+        ("epsilon", 0.0), ("epsilon", -1e-8), ("epochs", 0), ("epochs", -3)])
+    def test_corrupting_setting_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            tr.TrainConfig(**{name: value})
+
 
 class TestClip:
     def test_norm_and_scaling(self):
@@ -73,6 +80,14 @@ class TestClip:
         assert tr.grad_norm(grads) == pytest.approx(2.5)
         tr.clip_gradients(grads, 10.0)  # below the cap: untouched
         assert tr.grad_norm(grads) == pytest.approx(2.5)
+
+    def test_nonpositive_bound_rejected(self):
+        # a negative bound would return [-0.6, -0.8] and climb the loss
+        grads = {"a": np.array([3.0, 4.0])}
+        for bound in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="max_norm"):
+                tr.clip_gradients(grads, bound)
+        np.testing.assert_array_equal(grads["a"], [3.0, 4.0])
 
 
 def tiny_dataset(seed, count=4, length=5):
