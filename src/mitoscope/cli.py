@@ -290,7 +290,7 @@ def cmd_detect(args) -> int:
     detections, skipped = [], 0
     for sub in subs:
         if mode == "sup":
-            maps = net.supervised_maps(model, list(sub.frames))[0]
+            maps = net.supervised_maps(model, list(sub.frames))
             detections += pp.threshold_detections(maps, sub, post.threshold)
         else:
             maps = net.detect_events(model, list(sub.frames[enc:]))

@@ -16,6 +16,12 @@ A step runs the four gates' ``W_x * x + W_h * h_prev`` as one convolution of
 [x; h_prev] with the kernel [W_x | W_h]. The weights stay stored by role
 (``ConvLstmParams``), so the per-gate arrays keep their checkpoint names and
 stay contiguous views, as ``finite_diff_check`` probing needs.
+
+``unroll`` keeps one ``StepTrace`` per step for ``bptt``, or none with
+``keep=False`` (forward-only callers such as ``detect``). ``bptt`` consumes
+the unroll: it drops each step's trace and state once that step is reversed,
+so a second ``bptt`` on the same unroll is an error. Neither shares state
+between calls, so two layers may run on two threads at once.
 """
 
 from __future__ import annotations
@@ -104,7 +110,7 @@ class StepTrace:
 class UnrollResult:
     states: list  # CellState per step, in forward time order
     final: CellState  # state after the last processed step
-    traces: list  # StepTrace per step, in iteration order
+    traces: list | None  # StepTrace per step, in iteration order; None if not kept
     reverse: bool
 
 
@@ -187,10 +193,13 @@ def _step_backward(params: ConvLstmParams, kernel: np.ndarray, tr: StepTrace,
     return d_in[:c_in], d_in[c_in:], d_c_prev
 
 
-def unroll(params: ConvLstmParams, xs, init: CellState, reverse: bool = False) -> UnrollResult:
+def unroll(params: ConvLstmParams, xs, init: CellState, reverse: bool = False,
+           keep: bool = True) -> UnrollResult:
     """Iterate ``step`` over a frame sequence. With ``reverse`` the sequence
     is consumed from the last frame to the first; the returned per-step
-    states are re-aligned to forward time order either way."""
+    states are re-aligned to forward time order either way. With ``keep``
+    false no step trace outlives its step, and the result cannot be
+    differentiated."""
     n = len(xs)
     if n == 0:
         raise ValueError("unroll: cannot unroll an empty sequence")
@@ -198,11 +207,12 @@ def unroll(params: ConvLstmParams, xs, init: CellState, reverse: bool = False) -
     kernel = _fused_kernel(params)
     state = init
     states: list = [None] * n
-    traces = []
+    traces = [] if keep else None
     for t in order:
         state, tr = step(params, xs[t], state, kernel)
         states[t] = state
-        traces.append(tr)
+        if keep:
+            traces.append(tr)
     return UnrollResult(states, state, traces, reverse)
 
 
@@ -212,14 +222,25 @@ def bptt(params: ConvLstmParams, run: UnrollResult, d_hidden,
 
     ``d_hidden`` holds one upstream gradient per forward-time step (None
     entries mean zero); ``d_c_final`` is an optional extra gradient on the
-    final cell state. Returns (param grads, d_inputs in forward order,
-    gradient on the initial state).
+    final cell state. Both must have the state's shape [S,H,W]. Returns
+    (param grads, d_inputs in forward order, gradient on the initial state).
+
+    Consumes ``run``: each step's trace and state are dropped once that step
+    is reversed.
     """
+    if run.traces is None or any(tr is None for tr in run.traces):
+        raise ValueError("bptt: the unroll holds no traces (kept none, or consumed "
+                         "by an earlier bptt)")
     n = len(run.traces)
     if len(d_hidden) != n:
         raise ValueError(f"bptt: upstream length {len(d_hidden)} != unroll length {n}")
-    grads = params.zeros_like()
     shape = run.final.h.shape
+    for t, d in enumerate(d_hidden):
+        if d is not None and np.shape(d) != shape:
+            raise ValueError(f"bptt: d_hidden[{t}] has shape {np.shape(d)}, expected {shape}")
+    if d_c_final is not None and np.shape(d_c_final) != shape:
+        raise ValueError(f"bptt: d_c_final has shape {np.shape(d_c_final)}, expected {shape}")
+    grads = params.zeros_like()
     d_h_next = np.zeros(shape)
     d_c_next = np.zeros(shape) if d_c_final is None else np.asarray(d_c_final, dtype=np.float64)
     d_inputs: list = [None] * n
@@ -229,6 +250,7 @@ def bptt(params: ConvLstmParams, run: UnrollResult, d_hidden,
         d_h = d_h_next if d_hidden[t] is None else d_hidden[t] + d_h_next
         d_x, d_h_next, d_c_next = _step_backward(params, kernel, run.traces[j], d_h,
                                                  d_c_next, grads)
+        run.traces[j] = run.states[t] = None
         d_inputs[t] = d_x.copy()  # a view would pin the whole [C+S,H,W] gradient
     return grads, d_inputs, CellState(d_h_next, d_c_next)
 

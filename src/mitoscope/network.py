@@ -6,11 +6,21 @@ no event head) and the binary checkpoint format.
 
 Event maps are [n,M,M] float arrays: block-constant per grid cell, exactly
 one active class per cell, values in (0,1].
+
+The event branch's two readers share nothing until the merge, so their
+unrolls, and later their BPTTs, run at once: the backward-in-time reader on
+one helper thread, the forward one on the caller. Each layer runs whole on
+one thread, so results are bit-identical to a serial run. A backward pass
+consumes its output's trace, dropping each part once it is reversed, and the
+forward passes of ``detect`` (``detect_events``, ``supervised_maps``) keep
+per-step states but no step traces.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -230,6 +240,30 @@ def event_head(hidden, proj_w, proj_b, grid_factor: int = 8) -> np.ndarray:
     return y
 
 
+def _new_lane():
+    """The helper thread's pool. It starts its one thread on the first
+    submit, not here."""
+    global _lane
+    _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mitoscope-lane")
+
+
+_new_lane()
+os.register_at_fork(after_in_child=_new_lane)  # a forked child has no helper thread
+
+
+def _both(first, second):
+    """Run ``second`` on the helper thread while ``first`` runs on the
+    caller, and return both results. An error in ``second`` is raised here;
+    if ``first`` raises, ``second`` is waited for before the error leaves."""
+    pending = _lane.submit(second)
+    try:
+        a = first()
+    except BaseException:
+        wait([pending])
+        raise
+    return a, pending.result()
+
+
 @dataclass
 class _EventBranchTrace:
     fwd_run: cl.UnrollResult
@@ -238,39 +272,45 @@ class _EventBranchTrace:
     split: int  # channel split point of the concatenated features
 
 
-def _bidirectional_features(fwd_params, bwd_params, frames):
-    """Forward and reversed unrolls over the target frames, hidden states
-    re-aligned to forward time and channel-concatenated per step."""
+def _bidirectional_features(fwd_params, bwd_params, frames, keep=True):
+    """Forward and reversed unrolls over the target frames, run at once,
+    hidden states re-aligned to forward time and channel-concatenated per
+    step."""
     s = fwd_params.state_channels
     h = frames[0].shape[1]
     w = frames[0].shape[2]
-    run_f = cl.unroll(fwd_params, frames, cl.zero_state(s, h, w))
-    run_b = cl.unroll(bwd_params, frames, cl.zero_state(s, h, w), reverse=True)
+    run_f, run_b = _both(
+        lambda: cl.unroll(fwd_params, frames, cl.zero_state(s, h, w), keep=keep),
+        lambda: cl.unroll(bwd_params, frames, cl.zero_state(s, h, w), reverse=True,
+                          keep=keep))
     feats = [tc.concat_channels(run_f.states[t].h, run_b.states[t].h)
              for t in range(len(frames))]
     return feats, run_f, run_b
 
 
-def _event_branch_traced(model, frames):
-    feats, run_f, run_b = _bidirectional_features(model.event_fwd, model.event_bwd, frames)
+def _event_branch(model, frames, keep=True):
+    """The merged event-branch unroll; with ``keep`` false no layer keeps
+    step traces (forward-only callers)."""
+    feats, run_f, run_b = _bidirectional_features(model.event_fwd, model.event_bwd,
+                                                  frames, keep)
     s = model.event_fwd.state_channels
     m = frames[0].shape[1]
-    merge_run = cl.unroll(model.event_merge, feats, cl.zero_state(s, m, m))
+    merge_run = cl.unroll(model.event_merge, feats, cl.zero_state(s, m, m), keep=keep)
     return merge_run, _EventBranchTrace(run_f, run_b, merge_run, s)
 
 
 def _event_branch_backward(model, trace: _EventBranchTrace, d_hidden):
     """BPTT through merge, then split the per-step feature gradients back
-    into the forward and backward readers. Returns the gradients of
-    (event_fwd, event_bwd, event_merge)."""
+    into the forward and backward readers, which run at once. Consumes the
+    trace. Returns the gradients of (event_fwd, event_bwd, event_merge)."""
     g_merge, d_feats, _ = cl.bptt(model.event_merge, trace.merge_run, d_hidden)
     d_fwd_h, d_bwd_h = [], []
     for d in d_feats:
         a, b = tc.concat_channels_backward(d, trace.split)
         d_fwd_h.append(a)
         d_bwd_h.append(b)
-    g_fwd, _, _ = cl.bptt(model.event_fwd, trace.fwd_run, d_fwd_h)
-    g_bwd, _, _ = cl.bptt(model.event_bwd, trace.bwd_run, d_bwd_h)
+    g_fwd, g_bwd = _both(lambda: cl.bptt(model.event_fwd, trace.fwd_run, d_fwd_h)[0],
+                         lambda: cl.bptt(model.event_bwd, trace.bwd_run, d_bwd_h)[0])
     return g_fwd, g_bwd, g_merge
 
 
@@ -279,7 +319,7 @@ def detect_events(model: BranchedModel, frames) -> list:
     a merging recurrence, then the event head on every hidden state."""
     cfg = model.config
     _check_frames(frames, cfg.target_len, cfg.frame_size, "detect_events")
-    merge_run, _ = _event_branch_traced(model, frames)
+    merge_run, _ = _event_branch(model, frames, keep=False)
     return [event_head(st.h, model.event_proj_w, model.event_proj_b, cfg.grid_factor)
             for st in merge_run.states]
 
@@ -359,7 +399,7 @@ def forward_unsupervised(model: BranchedModel, frames) -> ReconOutput:
     target = list(frames[cfg.encoder_len:])
 
     enc_run = _encode_traced(model, context)
-    merge_run, branch = _event_branch_traced(model, target)
+    merge_run, branch = _event_branch(model, target)
     events, head_traces = [], []
     for st in merge_run.states:
         y, ht = _event_head_traced(st.h, model.event_proj_w, model.event_proj_b,
@@ -409,12 +449,13 @@ def _decode_backward(model, trace_steps, d_frames, n_classes):
 def backward_unsupervised(model: BranchedModel, out: ReconOutput) -> BranchedModel:
     """Reverse-mode gradients of the reconstruction loss for every
     parameter. Winner-take-all and max-pooling route gradients through
-    their winners only."""
-    tr = out.trace
+    their winners only. Consumes ``out.trace``."""
+    tr, out.trace = out.trace, None
     if tr is None:
         raise ValueError("backward_unsupervised: forward trace missing")
     d_hidden, d_events, d_convs = _decode_backward(
         model, tr.dec_steps, tr.d_pred, model.config.event_classes)
+    tr.dec_steps = None
 
     # decoder BPTT; its initial-state gradient flows into the encoder
     g_dec, _, d_enc_state = cl.bptt(model.decoder, tr.dec_run, d_hidden)
@@ -432,6 +473,7 @@ def backward_unsupervised(model: BranchedModel, out: ReconOutput) -> BranchedMod
         d_proj_w += d_pw
         d_proj_b += d_pb
         d_merge_hidden.append(d_h)
+    tr.head_traces = None
     g_branch = _event_branch_backward(model, tr.branch, d_merge_hidden)
     return BranchedModel(model.config, g_enc, *g_branch, g_dec, d_proj_w, d_proj_b,
                          *d_convs)
@@ -455,17 +497,22 @@ class SupervisedOutput:
     trace: _SupTrace = field(repr=False, default=None)
 
 
-def supervised_maps(model: SupervisedModel, frames):
-    """Per-frame response maps of the supervised variant (no loss)."""
+def supervised_maps(model: SupervisedModel, frames) -> list:
+    """Per-frame response maps of the supervised variant (no loss, no
+    trace)."""
+    return _supervised_traced(model, frames, keep=False)[0]
+
+
+def _supervised_traced(model: SupervisedModel, frames, keep=True):
     cfg = model.config
     _check_frames(frames, cfg.target_len, cfg.frame_size, "supervised_maps")
-    merge_run, branch = _event_branch_traced(model, frames)
+    merge_run, branch = _event_branch(model, frames, keep)
     maps, steps = _output_convs(model, (st.h for st in merge_run.states))
     return maps, branch, steps
 
 
 def forward_supervised(model: SupervisedModel, frames, targets) -> SupervisedOutput:
-    maps, branch, steps = supervised_maps(model, frames)
+    maps, branch, steps = _supervised_traced(model, frames)
     if len(targets) != len(maps):
         raise ValueError(
             f"forward_supervised: {len(targets)} targets for {len(maps)} frames")
@@ -480,10 +527,13 @@ def forward_supervised(model: SupervisedModel, frames, targets) -> SupervisedOut
 
 
 def backward_supervised(model: SupervisedModel, out: SupervisedOutput) -> SupervisedModel:
-    tr = out.trace
+    """Gradients of the supervised loss for every parameter. Consumes
+    ``out.trace``."""
+    tr, out.trace = out.trace, None
     if tr is None:
         raise ValueError("backward_supervised: forward trace missing")
     d_hidden, _, d_convs = _decode_backward(model, tr.steps, tr.d_pred, 0)
+    tr.steps = None
     return SupervisedModel(model.config,
                            *_event_branch_backward(model, tr.branch, d_hidden), *d_convs)
 

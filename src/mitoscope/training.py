@@ -6,8 +6,9 @@ The optimizer keeps one running mean-square accumulator per parameter:
     theta <- theta - lr * g / (sqrt(a) + eps)
 
 Training is a deterministic function of (initial model, dataset order,
-seed, config) in single-worker mode; per-epoch shuffling uses a generator
-seeded from the run seed.
+seed, config); per-epoch shuffling uses a generator seeded from the run
+seed. The event branch's two readers run on two threads, each whole on one,
+so results are bit-identical whatever the thread timing.
 """
 
 from __future__ import annotations

@@ -297,7 +297,7 @@ def test_criterion_6_supervised_end_to_end(synth_video):
                                       window_step=64, downsample=1, length=10)
     detections = []
     for sub in test_subs:
-        maps, _, _ = net.supervised_maps(model, list(sub.frames))
+        maps = net.supervised_maps(model, list(sub.frames))
         detections.extend(pp.threshold_detections(maps, sub, 0.7))
     merged = pp.merge_global(detections, 10.0, 2)
     scores = ev.prf1(ev.match(merged, test_annotations, spatial_th=10, temporal_th=3))

@@ -299,6 +299,46 @@ class TestBptt:
         with pytest.raises(ValueError, match="length"):
             cl.bptt(p, run, [None])
 
+    @pytest.mark.parametrize("d_hidden, d_c_final, message", [
+        ([None, np.ones((1, 8, 8)), None], None, r"d_hidden\[1\] has shape \(1, 8, 8\)"),
+        ([np.ones(8), None, None], None, r"d_hidden\[0\] has shape \(8,\)"),
+        ([None] * 3, 1.0, r"d_c_final has shape \(\)"),
+    ], ids=["broadcast-channels", "broadcast-row", "scalar-d_c_final"])
+    def test_upstream_shape_rejected(self, d_hidden, d_c_final, message):
+        # each of these broadcasts against [S,H,W] and would give wrong gradients
+        rng = np.random.default_rng(11)
+        p = tiny_params(rng, c_in=1, s=3, h=8, w=8)
+        run = cl.unroll(p, [rng.uniform(0, 1, (1, 8, 8)) for _ in range(3)],
+                        cl.zero_state(3, 8, 8))
+        with pytest.raises(ValueError, match=message + r", expected \(3, 8, 8\)"):
+            cl.bptt(p, run, d_hidden, d_c_final=d_c_final)
+        assert all(tr is not None for tr in run.traces)  # rejected before any step
+
+    def test_consumes_the_unroll(self):
+        rng = np.random.default_rng(12)
+        p = tiny_params(rng, c_in=1)
+        xs = [rng.uniform(0, 1, (1, 4, 4)) for _ in range(3)]
+        run = cl.unroll(p, xs, cl.zero_state(2, 4, 4))
+        final = run.final
+        cl.bptt(p, run, [np.ones((2, 4, 4))] * 3)
+        assert run.traces == [None] * 3 and run.states == [None] * 3
+        assert run.final is final
+        with pytest.raises(ValueError, match="holds no traces"):
+            cl.bptt(p, run, [np.ones((2, 4, 4))] * 3)
+
+    def test_unroll_without_traces(self):
+        rng = np.random.default_rng(13)
+        p = tiny_params(rng, c_in=1)
+        xs = [rng.uniform(0, 1, (1, 4, 4)) for _ in range(3)]
+        kept = cl.unroll(p, xs, cl.zero_state(2, 4, 4), reverse=True)
+        bare = cl.unroll(p, xs, cl.zero_state(2, 4, 4), reverse=True, keep=False)
+        assert bare.traces is None
+        for a, b in zip(kept.states, bare.states):
+            np.testing.assert_array_equal(a.h, b.h)
+            np.testing.assert_array_equal(a.c, b.c)
+        with pytest.raises(ValueError, match="holds no traces"):
+            cl.bptt(p, bare, [None] * 3)
+
 
 # ---------------------------------------------------------------------------
 # fused step against a two-convolution reference

@@ -2,7 +2,12 @@
 end-to-end gradients at a tiny configuration, checkpoint round-trips."""
 
 import math
+import multiprocessing
 import struct
+import threading
+import time
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +265,7 @@ class TestSupervised:
 
     def test_maps_in_unit_interval(self, tiny_sup_model):
         frames = random_frames(np.random.default_rng(17), 3, 8)
-        maps, _, _ = net.supervised_maps(tiny_sup_model, frames)
+        maps = net.supervised_maps(tiny_sup_model, frames)
         for m in maps:
             assert ((m > 0) & (m < 1)).all()
 
@@ -323,6 +328,171 @@ class TestBuildSupervisedTarget:
     def test_out_of_frame_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             net.build_supervised_target([(0, 70, 2)], 64, 1)
+
+
+# ---------------------------------------------------------------------------
+# two lanes, consumed traces, trace-free detect
+# ---------------------------------------------------------------------------
+
+def _serial(first, second):
+    """Reference for ``net._both``: the two directions one after the other."""
+    return first(), second()
+
+
+def _all_outputs(s):
+    """Losses, maps and every gradient of both models, plus the detect maps."""
+    cfg = tiny_config(frame_size=16, hidden_channels=s, event_classes=4)
+    rng = np.random.default_rng(s)
+    frames = random_frames(rng, 5, 16)
+    model = perturb_model(net.init_unsupervised(cfg, seed=s), rng)
+    smodel = perturb_model(net.init_supervised(cfg, seed=s + 1), rng)
+    targets = net.build_supervised_target([(1, 5, 9)], 16, 3)
+    out = net.forward_unsupervised(model, frames)
+    sout = net.forward_supervised(smodel, frames[2:], targets)
+    arrays = [out.loss, *out.frames, *out.events, sout.loss, *sout.maps,
+              *net.detect_events(model, frames[2:]), *net.supervised_maps(smodel, frames[2:])]
+    arrays += [g for _, g in net.backward_unsupervised(model, out).named_params()]
+    arrays += [g for _, g in net.backward_supervised(smodel, sout).named_params()]
+    return arrays
+
+
+def _detect_tiny():
+    model = net.init_unsupervised(tiny_config(), seed=0)
+    return len(net.detect_events(model, random_frames(np.random.default_rng(0), 3, 8)))
+
+
+class TestTwoLanes:
+    @pytest.mark.parametrize("s", [4, 32])
+    def test_bit_equal_to_serial(self, s, monkeypatch):
+        lanes = _all_outputs(s)
+        monkeypatch.setattr(net, "_both", _serial)
+        serial = _all_outputs(s)
+        assert len(lanes) == len(serial)
+        for a, b in zip(lanes, serial):
+            np.testing.assert_array_equal(a, b)
+
+    def test_backward_reader_runs_on_the_helper(self, tiny_unsup_model, monkeypatch):
+        model = tiny_unsup_model
+        threads = {}
+        for name in ("unroll", "bptt"):
+            real = getattr(cl, name)
+
+            def record(params, *args, _real=real, _name=name, **kwargs):
+                threads[_name, id(params)] = threading.get_ident()
+                return _real(params, *args, **kwargs)
+
+            monkeypatch.setattr(cl, name, record)
+        out = net.forward_unsupervised(model, random_frames(np.random.default_rng(30), 5, 8))
+        net.backward_unsupervised(model, out)
+        caller = threading.get_ident()
+        for name in ("unroll", "bptt"):
+            assert threads[name, id(model.event_fwd)] == caller
+            assert threads[name, id(model.event_merge)] == caller
+            assert threads[name, id(model.event_bwd)] != caller
+
+    def test_helper_error_reaches_caller(self, tiny_sup_model, monkeypatch):
+        model = tiny_sup_model
+        frames = random_frames(np.random.default_rng(31), 3, 8)
+        targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+        expected = net.backward_supervised(model, net.forward_supervised(model, frames, targets))
+        real = cl.bptt
+
+        def failing(params, *args, **kwargs):
+            if params is model.event_bwd:
+                raise RuntimeError("bptt failed on event_bwd")
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(cl, "bptt", failing)
+        out = net.forward_supervised(model, frames, targets)
+        with pytest.raises(RuntimeError, match="event_bwd"):
+            net.backward_supervised(model, out)
+        monkeypatch.setattr(cl, "bptt", real)
+        grads = net.backward_supervised(model, net.forward_supervised(model, frames, targets))
+        for (name, a), (_, b) in zip(grads.named_params(), expected.named_params()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_caller_error_waits_for_helper(self):
+        finished = []
+
+        def slow():
+            time.sleep(0.2)
+            finished.append(True)
+
+        def failing():
+            raise RuntimeError("first lane failed")
+
+        with pytest.raises(RuntimeError, match="first lane failed"):
+            net._both(failing, slow)
+        assert finished == [True]
+
+    def test_forked_child_starts_its_own_helper(self, tiny_unsup_model):
+        # the parent's helper thread does not exist in a forked child: a
+        # child that reused its executor would queue work nobody runs
+        net.detect_events(tiny_unsup_model, random_frames(np.random.default_rng(35), 3, 8))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_detect_tiny).get(timeout=60) == 3
+
+    def test_backward_consumes_trace(self, tiny_unsup_model, tiny_sup_model):
+        frames = random_frames(np.random.default_rng(32), 5, 8)
+        out = net.forward_unsupervised(tiny_unsup_model, frames)
+        net.backward_unsupervised(tiny_unsup_model, out)
+        assert out.trace is None
+        with pytest.raises(ValueError, match="forward trace missing"):
+            net.backward_unsupervised(tiny_unsup_model, out)
+        targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+        sout = net.forward_supervised(tiny_sup_model, frames[2:], targets)
+        net.backward_supervised(tiny_sup_model, sout)
+        assert sout.trace is None
+        with pytest.raises(ValueError, match="forward trace missing"):
+            net.backward_supervised(tiny_sup_model, sout)
+
+
+PAPER = net.NetworkConfig(hidden_channels=32, event_classes=16)  # 64x64 frames
+
+
+def test_paper_scale_backward_peak():
+    # traced peak from the forward's end through the backward: 380 MiB when
+    # the backward drops each trace as it goes, 479 MiB when all stay alive
+    model = net.init_unsupervised(PAPER, seed=0)
+    frames = random_frames(np.random.default_rng(33), 15, 64)
+    tracemalloc.start()
+    try:
+        out = net.forward_unsupervised(model, frames)
+        tracemalloc.reset_peak()
+        net.backward_unsupervised(model, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 430 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MiB"
+
+
+def test_paper_scale_detect_keeps_no_step_trace(monkeypatch):
+    # traced peak 123 MiB without step traces, 239 MiB with them
+    model = net.init_unsupervised(PAPER, seed=0)
+    frames = random_frames(np.random.default_rng(34), 10, 64)
+    traces, held = [], []  # weak references to every step trace made
+    real_step, real_head = cl.step, net.event_head
+
+    def step(*args, **kwargs):
+        state, trace = real_step(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return state, trace
+
+    def head(*args, **kwargs):
+        # the event head runs once every unroll is done
+        held.append(sum(ref() is not None for ref in traces))
+        return real_head(*args, **kwargs)
+
+    monkeypatch.setattr(cl, "step", step)
+    monkeypatch.setattr(net, "event_head", head)
+    tracemalloc.start()
+    try:
+        net.detect_events(model, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held == [0] * 10
+    assert peak < 180 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------
