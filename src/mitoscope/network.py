@@ -8,9 +8,12 @@ Event maps are [n,M,M] float arrays: block-constant per grid cell, exactly
 one active class per cell, values in (0,1].
 
 The event branch's two readers share nothing until the merge, so their
-unrolls, and later their BPTTs, run at once: the backward-in-time reader on
-one helper thread, the forward one on the caller. Each layer runs whole on
-one thread, so results are bit-identical to a serial run. A backward pass
+unrolls, and later their BPTTs, may run at once: the backward-in-time reader
+on a helper thread, the forward one on the caller. They do only when each
+lane's BLAS threads have cores of their own (numpy's OpenBLAS on one thread
+on two cores, as the benchmark pins it); with OpenBLAS at its default of
+one thread per core they run one after the other. Each layer runs whole on
+one thread, so results are bit-identical either way. A backward pass
 consumes its output's trace, dropping each part once it is reversed, and the
 forward passes of ``detect`` (``detect_events``, ``supervised_maps``) keep
 per-step states but no step traces.
@@ -18,9 +21,12 @@ per-step states but no step traces.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -240,28 +246,47 @@ def event_head(hidden, proj_w, proj_b, grid_factor: int = 8) -> np.ndarray:
     return y
 
 
-def _new_lane():
-    """The helper thread's pool. It starts its one thread on the first
-    submit, not here."""
-    global _lane
-    _lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mitoscope-lane")
+_OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                         "openblas_get_num_threads")
 
 
-_new_lane()
-os.register_at_fork(after_in_child=_new_lane)  # a forked child has no helper thread
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter of the OpenBLAS bundled with numpy, or None
+    when numpy carries no OpenBLAS of its own."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_GET_THREADS:
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get
+    return None
+
+
+def _two_lanes() -> bool:
+    """Whether the two readers may run at once: only when each lane's BLAS
+    threads get cores of their own. Two lanes of spinning BLAS threads on
+    shared cores ran slower than one lane (two OpenBLAS threads each on two
+    cores). An unknown BLAS thread count runs one lane."""
+    get = _openblas_threads()
+    if get is None:
+        return False
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 * get() <= (cores or 1)
 
 
 def _both(first, second):
-    """Run ``second`` on the helper thread while ``first`` runs on the
-    caller, and return both results. An error in ``second`` is raised here;
-    if ``first`` raises, ``second`` is waited for before the error leaves."""
-    pending = _lane.submit(second)
-    try:
-        a = first()
-    except BaseException:
-        wait([pending])
-        raise
-    return a, pending.result()
+    """Return ``(first(), second())``. When ``_two_lanes()`` holds,
+    ``second`` runs on a helper thread while ``first`` runs on the caller.
+    An error in either reaches the caller, and never before ``second`` has
+    finished."""
+    if not _two_lanes():
+        return first(), second()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mitoscope-lane") as lane:
+        pending = lane.submit(second)
+        return first(), pending.result()
 
 
 @dataclass

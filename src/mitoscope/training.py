@@ -7,8 +7,8 @@ The optimizer keeps one running mean-square accumulator per parameter:
 
 Training is a deterministic function of (initial model, dataset order,
 seed, config); per-epoch shuffling uses a generator seeded from the run
-seed. The event branch's two readers run on two threads, each whole on one,
-so results are bit-identical whatever the thread timing.
+seed. The event branch's two readers may run on two threads, each whole on
+one, so results are bit-identical whatever the thread timing.
 """
 
 from __future__ import annotations

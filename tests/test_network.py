@@ -3,7 +3,10 @@ end-to-end gradients at a tiny configuration, checkpoint round-trips."""
 
 import math
 import multiprocessing
+import os
 import struct
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -361,7 +364,51 @@ def _detect_tiny():
     return len(net.detect_events(model, random_frames(np.random.default_rng(0), 3, 8)))
 
 
+def _reader_threads(model, monkeypatch):
+    """The thread each event-branch layer's unroll and bptt ran on, over one
+    unsupervised forward and backward."""
+    threads = {}
+    for name in ("unroll", "bptt"):
+        real = getattr(cl, name)
+
+        def record(params, *args, _real=real, _name=name, **kwargs):
+            threads[_name, id(params)] = threading.get_ident()
+            return _real(params, *args, **kwargs)
+
+        monkeypatch.setattr(cl, name, record)
+    out = net.forward_unsupervised(model, random_frames(np.random.default_rng(30), 5, 8))
+    net.backward_unsupervised(model, out)
+    return threads
+
+
+class TestLaneChoice:
+    @pytest.mark.parametrize("blas_threads", ["1", "cores"])
+    def test_lanes_need_cores_for_both_lanes_blas_threads(self, blas_threads):
+        cores = len(os.sched_getaffinity(0))
+        n = cores if blas_threads == "cores" else 1
+        src = str(Path(net.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = ("from mitoscope import network as n; "
+                 "print(n._openblas_threads() is not None, n._two_lanes())")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        if out[0] == "False":
+            pytest.skip("numpy carries no OpenBLAS of its own")
+        assert out[1] == str(2 * n <= cores)
+
+    def test_one_lane_runs_on_the_caller(self, tiny_unsup_model, monkeypatch):
+        monkeypatch.setattr(net, "_two_lanes", lambda: False)
+        threads = _reader_threads(tiny_unsup_model, monkeypatch)
+        assert set(threads.values()) == {threading.get_ident()}
+
+
 class TestTwoLanes:
+    @pytest.fixture(autouse=True)
+    def two_lanes(self, monkeypatch):
+        # whatever the BLAS thread count of the machine running the tests
+        monkeypatch.setattr(net, "_two_lanes", lambda: True)
+
     @pytest.mark.parametrize("s", [4, 32])
     def test_bit_equal_to_serial(self, s, monkeypatch):
         lanes = _all_outputs(s)
@@ -373,17 +420,7 @@ class TestTwoLanes:
 
     def test_backward_reader_runs_on_the_helper(self, tiny_unsup_model, monkeypatch):
         model = tiny_unsup_model
-        threads = {}
-        for name in ("unroll", "bptt"):
-            real = getattr(cl, name)
-
-            def record(params, *args, _real=real, _name=name, **kwargs):
-                threads[_name, id(params)] = threading.get_ident()
-                return _real(params, *args, **kwargs)
-
-            monkeypatch.setattr(cl, name, record)
-        out = net.forward_unsupervised(model, random_frames(np.random.default_rng(30), 5, 8))
-        net.backward_unsupervised(model, out)
+        threads = _reader_threads(model, monkeypatch)
         caller = threading.get_ident()
         for name in ("unroll", "bptt"):
             assert threads[name, id(model.event_fwd)] == caller
