@@ -10,7 +10,10 @@ Subcommands wire the library into reproducible runs:
 
 Every command echoes its effective configuration to an ``effective_config.ini``
 next to its outputs, and is deterministic given config + seed. The env var
-``MITOSCOPE_SEED`` overrides the config seeds.
+``MITOSCOPE_SEED`` overrides the config seeds. ``detect`` runs its windows
+through ``network.window_maps``, two at a time where the machine has two
+lanes, and reduces them in window order, so its outputs are the same
+either way.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -55,6 +59,22 @@ class DataConfig:
         dp.check_windowing(self.window_size, self.window_step, self.downsample)
 
 
+def _finite_nonneg(value) -> bool:
+    return 0 <= value < math.inf
+
+
+_NONNEG = (_finite_nonneg, "finite and >= 0")
+
+
+def _check_fields(cfg, rules: dict) -> None:
+    """Raise ValueError naming the first field of ``cfg`` that breaks its
+    rule; ``rules`` maps a field name to (test, wording)."""
+    for name, (ok, wording) in rules.items():
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {wording}, got {value}")
+
+
 @dataclass
 class PostprocessConfig:
     lookahead: int = 2
@@ -63,10 +83,20 @@ class PostprocessConfig:
     merge_spatial: float = 10.0
     merge_temporal: int = 2
 
+    def __post_init__(self):
+        _check_fields(self, {"lookahead": (lambda v: v >= 1, ">= 1"),
+                             "disc_radius": _NONNEG,
+                             "threshold": (lambda v: 0 < v < 1, "in (0,1)"),
+                             "merge_spatial": _NONNEG,
+                             "merge_temporal": _NONNEG})
+
 
 @dataclass
 class EvalConfig:
     spatial_th: float = 10.0
+
+    def __post_init__(self):
+        _check_fields(self, {"spatial_th": _NONNEG})
 
 
 @dataclass
@@ -282,18 +312,20 @@ def cmd_detect(args) -> int:
     post = cfg.postprocess
     subs = _build_dataset(cfg, video, frame_range, mode, augmented=False)
 
-    # Each window's maps are reduced at once and dropped when the next
-    # window's replace them. Dropped any sooner, the heap is trimmed between
-    # windows and each forward re-faults its scratch (unsup desk: 10x faults).
+    # Windows run in pairs where there are two lanes, so two windows' maps
+    # are live at once. Each window's maps are reduced in window order as
+    # they come and dropped when the next window's replace them. Dropped any
+    # sooner, the heap is trimmed between windows and each forward re-faults
+    # its scratch (unsup desk: 10x faults).
     enc, g = cfg.network.encoder_len, cfg.network.grid_factor
     classes = range(n) if k is None else [k]
+    first = 0 if mode == "sup" else enc
+    windows = (list(sub.frames[first:]) for sub in subs)
     detections, skipped = [], 0
-    for sub in subs:
+    for sub, maps in zip(subs, net.window_maps(model, windows)):
         if mode == "sup":
-            maps = net.supervised_maps(model, list(sub.frames))
             detections += pp.threshold_detections(maps, sub, post.threshold)
         else:
-            maps = net.detect_events(model, list(sub.frames[enc:]))
             dets, skips = pp.window_detections(pp.class_grid(maps, g), sub, classes,
                                                post.lookahead, post.disc_radius, g,
                                                frame_offset=enc)
@@ -327,6 +359,9 @@ def cmd_eval(args) -> int:
     detections = load_detections(args.detections)
     annotations = dp.load_annotations(args.annotations)
     thresholds = args.th or [1, 3]
+    for th in thresholds:
+        if th < 0:
+            raise UsageError(f"--th {th} must be >= 0")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -7,16 +7,22 @@ no event head) and the binary checkpoint format.
 Event maps are [n,M,M] float arrays: block-constant per grid cell, exactly
 one active class per cell, values in (0,1].
 
-The event branch's two readers share nothing until the merge, so their
-unrolls, and later their BPTTs, may run at once: the backward-in-time reader
-on a helper thread, the forward one on the caller. They do only when each
-lane's BLAS threads have cores of their own (numpy's OpenBLAS on one thread
-on two cores, as the benchmark pins it); with OpenBLAS at its default of
-one thread per core they run one after the other. Each layer runs whole on
-one thread, so results are bit-identical either way. A backward pass
-consumes its output's trace, dropping each part once it is reversed, and the
-forward passes of ``detect`` (``detect_events``, ``supervised_maps``) keep
-per-step states but no step traces.
+Work that shares nothing runs on two lanes, the caller and a helper thread,
+when each lane's BLAS threads have cores of their own (numpy's OpenBLAS on
+one thread on two cores, as the benchmark pins it); with OpenBLAS at its
+default of one thread per core it runs one part after the other. In
+training the two lanes take the event branch's two readers, whose unrolls,
+and later their BPTTs, share nothing until the merge. In ``detect``
+(``window_maps``) they take two whole windows, and inside a lane the two
+readers run in turn, so no more than two lanes run at once. Each layer runs
+whole on one thread, so results are bit-identical either way.
+
+A backward pass consumes its output's trace, dropping each part once it is
+reversed. The forward passes of ``detect`` (``detect_events``,
+``supervised_maps``) keep no step traces and no cell states: each layer
+unrolls one frame at a time, the readers keep only their hidden states, each
+step's merge features are built as the merge reads them, and the event head
+or output convolutions run on each merged state as it comes.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import functools
 import glob
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,6 +57,7 @@ __all__ = [
     "forward_unsupervised",
     "backward_unsupervised",
     "supervised_maps",
+    "window_maps",
     "forward_supervised",
     "backward_supervised",
     "build_supervised_target",
@@ -277,16 +285,47 @@ def _two_lanes() -> bool:
     return 2 * get() <= (cores or 1)
 
 
+_lane = threading.local()  # ``busy`` while this thread runs one of two lanes
+
+
+def _in_lane(fn):
+    _lane.busy = True
+    try:
+        return fn()
+    finally:
+        _lane.busy = False
+
+
+_helper = None  # (pid, one-worker pool) of this process's helper thread
+
+
+def _helper_lane() -> ThreadPoolExecutor:
+    """The process's one helper thread. One thread for the process's life
+    allocates from one malloc arena; a thread per call could start before
+    the last one had let go of its arena and take a new one, about 25 MiB
+    of peak RSS each. A forked child starts its own: it has no copy of the
+    parent's thread."""
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():
+        _helper = (os.getpid(),
+                   ThreadPoolExecutor(max_workers=1, thread_name_prefix="mitoscope-lane"))
+    return _helper[1]
+
+
 def _both(first, second):
-    """Return ``(first(), second())``. When ``_two_lanes()`` holds,
-    ``second`` runs on a helper thread while ``first`` runs on the caller.
-    An error in either reaches the caller, and never before ``second`` has
-    finished."""
-    if not _two_lanes():
+    """Return ``(first(), second())``. When ``_two_lanes()`` holds and the
+    caller is not itself in a lane, ``second`` runs on the helper thread
+    while ``first`` runs on the caller; a ``_both`` inside either runs in
+    turn. An error in either reaches the caller, and never before
+    ``second`` has finished."""
+    if getattr(_lane, "busy", False) or not _two_lanes():
         return first(), second()
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mitoscope-lane") as lane:
-        pending = lane.submit(second)
-        return first(), pending.result()
+    pending = _helper_lane().submit(_in_lane, second)
+    try:
+        result = _in_lane(first)
+    finally:
+        wait([pending])
+    return result, pending.result()
 
 
 @dataclass
@@ -297,7 +336,7 @@ class _EventBranchTrace:
     split: int  # channel split point of the concatenated features
 
 
-def _bidirectional_features(fwd_params, bwd_params, frames, keep=True):
+def _bidirectional_features(fwd_params, bwd_params, frames):
     """Forward and reversed unrolls over the target frames, run at once,
     hidden states re-aligned to forward time and channel-concatenated per
     step."""
@@ -305,22 +344,19 @@ def _bidirectional_features(fwd_params, bwd_params, frames, keep=True):
     h = frames[0].shape[1]
     w = frames[0].shape[2]
     run_f, run_b = _both(
-        lambda: cl.unroll(fwd_params, frames, cl.zero_state(s, h, w), keep=keep),
-        lambda: cl.unroll(bwd_params, frames, cl.zero_state(s, h, w), reverse=True,
-                          keep=keep))
+        lambda: cl.unroll(fwd_params, frames, cl.zero_state(s, h, w)),
+        lambda: cl.unroll(bwd_params, frames, cl.zero_state(s, h, w), reverse=True))
     feats = [tc.concat_channels(run_f.states[t].h, run_b.states[t].h)
              for t in range(len(frames))]
     return feats, run_f, run_b
 
 
-def _event_branch(model, frames, keep=True):
-    """The merged event-branch unroll; with ``keep`` false no layer keeps
-    step traces (forward-only callers)."""
-    feats, run_f, run_b = _bidirectional_features(model.event_fwd, model.event_bwd,
-                                                  frames, keep)
+def _event_branch(model, frames):
+    """The merged event-branch unroll, with the traces of every layer."""
+    feats, run_f, run_b = _bidirectional_features(model.event_fwd, model.event_bwd, frames)
     s = model.event_fwd.state_channels
     m = frames[0].shape[1]
-    merge_run = cl.unroll(model.event_merge, feats, cl.zero_state(s, m, m), keep=keep)
+    merge_run = cl.unroll(model.event_merge, feats, cl.zero_state(s, m, m))
     return merge_run, _EventBranchTrace(run_f, run_b, merge_run, s)
 
 
@@ -339,14 +375,38 @@ def _event_branch_backward(model, trace: _EventBranchTrace, d_hidden):
     return g_fwd, g_bwd, g_merge
 
 
+def _reader_hiddens(params, frames, reverse=False):
+    """One reader's hidden states in forward time order, forward only. It
+    unrolls one frame at a time, so no cell state outlives the next step."""
+    state = cl.zero_state(params.state_channels, *frames[0].shape[1:])
+    hiddens = [None] * len(frames)
+    for t in (range(len(frames) - 1, -1, -1) if reverse else range(len(frames))):
+        state = cl.unroll(params, [frames[t]], state, keep=False).final
+        hiddens[t] = state.h
+    return hiddens
+
+
+def _merged_hiddens(model, frames):
+    """The event branch forward only: yield the merge layer's hidden state
+    step by step. Each step's features are built as the merge reads them,
+    and no reader or merge state outlives what reads it."""
+    fwd, bwd = _both(lambda: _reader_hiddens(model.event_fwd, frames),
+                     lambda: _reader_hiddens(model.event_bwd, frames, reverse=True))
+    state = cl.zero_state(model.event_merge.state_channels, *frames[0].shape[1:])
+    for t in range(len(frames)):
+        x = tc.concat_channels(fwd[t], bwd[t])
+        fwd[t] = bwd[t] = None
+        state = cl.unroll(model.event_merge, [x], state, keep=False).final
+        yield state.h
+
+
 def detect_events(model: BranchedModel, frames) -> list:
     """Per-frame event maps for a target sequence: bidirectional reading,
     a merging recurrence, then the event head on every hidden state."""
     cfg = model.config
     _check_frames(frames, cfg.target_len, cfg.frame_size, "detect_events")
-    merge_run, _ = _event_branch(model, frames, keep=False)
-    return [event_head(st.h, model.event_proj_w, model.event_proj_b, cfg.grid_factor)
-            for st in merge_run.states]
+    return [event_head(h, model.event_proj_w, model.event_proj_b, cfg.grid_factor)
+            for h in _merged_hiddens(model, frames)]
 
 
 @dataclass
@@ -357,17 +417,24 @@ class _DecodeStep:
     sig_out: np.ndarray
 
 
-def _output_convs(model, features):
+def _output_conv(model, x):
     """The two output convolutions (recon conv, tanh, 1x1 conv, sigmoid) on
-    each step's features. Returns the per-step maps and their traces."""
+    one step's features. Returns the map and its trace."""
+    a, t_conv1 = tc.conv2d_same(x, model.recon_w, model.recon_b)
+    ta = tc.tanh_act(a)
+    b, t_conv2 = tc.conv2d_same(ta, model.out_w, model.out_b)
+    out = tc.sigmoid(b)
+    return out, _DecodeStep(t_conv1, ta, t_conv2, out)
+
+
+def _output_convs(model, features):
+    """``_output_conv`` on each step's features: the per-step maps and
+    their traces."""
     maps, steps = [], []
     for x in features:
-        a, t_conv1 = tc.conv2d_same(x, model.recon_w, model.recon_b)
-        ta = tc.tanh_act(a)
-        b, t_conv2 = tc.conv2d_same(ta, model.out_w, model.out_b)
-        out = tc.sigmoid(b)
+        out, st = _output_conv(model, x)
         maps.append(out)
-        steps.append(_DecodeStep(t_conv1, ta, t_conv2, out))
+        steps.append(st)
     return maps, steps
 
 
@@ -525,19 +592,40 @@ class SupervisedOutput:
 def supervised_maps(model: SupervisedModel, frames) -> list:
     """Per-frame response maps of the supervised variant (no loss, no
     trace)."""
-    return _supervised_traced(model, frames, keep=False)[0]
-
-
-def _supervised_traced(model: SupervisedModel, frames, keep=True):
     cfg = model.config
     _check_frames(frames, cfg.target_len, cfg.frame_size, "supervised_maps")
-    merge_run, branch = _event_branch(model, frames, keep)
-    maps, steps = _output_convs(model, (st.h for st in merge_run.states))
-    return maps, branch, steps
+    return [_output_conv(model, h)[0] for h in _merged_hiddens(model, frames)]
+
+
+def window_maps(model, windows):
+    """Yield the maps of each window in window order: ``supervised_maps``
+    of a supervised model's windows, ``detect_events`` of an unsupervised
+    model's target frames. When ``_two_lanes()`` holds, windows run two at a
+    time, the second of each pair on the helper thread; an error in either
+    reaches the caller once both have finished. Otherwise they run one at a
+    time."""
+    def maps_of(frames):  # looked up per call, so a rebound function is seen
+        if model.kind == "supervised":
+            return supervised_maps(model, frames)
+        return detect_events(model, frames)
+
+    if not _two_lanes():
+        yield from map(maps_of, windows)
+        return
+    windows = iter(windows)
+    for first in windows:
+        second = next(windows, None)
+        if second is None:
+            yield maps_of(first)
+        else:
+            yield from _both(lambda: maps_of(first), lambda: maps_of(second))
 
 
 def forward_supervised(model: SupervisedModel, frames, targets) -> SupervisedOutput:
-    maps, branch, steps = _supervised_traced(model, frames)
+    cfg = model.config
+    _check_frames(frames, cfg.target_len, cfg.frame_size, "forward_supervised")
+    merge_run, branch = _event_branch(model, frames)
+    maps, steps = _output_convs(model, (st.h for st in merge_run.states))
     if len(targets) != len(maps):
         raise ValueError(
             f"forward_supervised: {len(targets)} targets for {len(maps)} frames")

@@ -412,11 +412,16 @@ def wta_safe_mask(x, tol: float = 1e-4) -> np.ndarray:
 
 def sigmoid(x) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-x) for x >= 0 and
-    e^x/(1+e^x) below, both from e = exp(min(x, -x)) = exp(-|x|). np.minimum
-    returns a NaN operand itself, so a NaN keeps its sign and payload."""
+    e^x/(1+e^x) below, both from e = exp(min(x, -x)) = exp(-|x|). The
+    numerator max(e, x >= 0) is 1 or e, as e <= 1. np.minimum and
+    np.maximum return a NaN operand itself, so a NaN keeps its sign and
+    payload."""
     x = _as64(x)
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def sigmoid_backward(out, upstream) -> np.ndarray:

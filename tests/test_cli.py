@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from mitoscope import cli
-from mitoscope.data_pipeline import (VideoSource, export_video, load_annotations,
-                                     load_frames, read_pgm)
+from mitoscope import network as net
+from mitoscope.data_pipeline import (SyntheticConfig, VideoSource, export_video,
+                                     load_annotations, load_frames, read_pgm,
+                                     synth_generate)
 from mitoscope.network import NetworkConfig, init_unsupervised, save_checkpoint
 
 REPO = Path(__file__).resolve().parents[1]
@@ -102,6 +104,36 @@ class TestRunConfig:
                            match=r"bad\.ini: bad \[network\] section: grid_factor must be "
                                  r">= 1, got 0"):
             cli.load_run_config(path)
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("postprocess", "lookahead = -1", "lookahead must be >= 1, got -1"),
+        ("postprocess", "lookahead = 0", "lookahead must be >= 1, got 0"),
+        ("postprocess", "disc_radius = -1", "disc_radius must be finite and >= 0, got -1.0"),
+        ("postprocess", "disc_radius = inf", "disc_radius must be finite and >= 0, got inf"),
+        ("postprocess", "threshold = nan", r"threshold must be in \(0,1\), got nan"),
+        ("postprocess", "threshold = 1", r"threshold must be in \(0,1\), got 1.0"),
+        ("postprocess", "threshold = 0", r"threshold must be in \(0,1\), got 0.0"),
+        ("postprocess", "merge_spatial = nan",
+         "merge_spatial must be finite and >= 0, got nan"),
+        ("postprocess", "merge_temporal = -3",
+         "merge_temporal must be finite and >= 0, got -3"),
+        ("evaluation", "spatial_th = -0.5", "spatial_th must be finite and >= 0, got -0.5"),
+        ("evaluation", "spatial_th = inf", "spatial_th must be finite and >= 0, got inf"),
+    ])
+    def test_postprocess_and_evaluation_values_checked(self, tmp_path, section, line,
+                                                       message):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(cli.UsageError,
+                           match=rf"bad\.ini: bad \[{section}\] section: {message}"):
+            cli.load_run_config(path)
+
+    def test_postprocess_and_evaluation_bounds_accepted(self, tmp_path):
+        path = tmp_path / "edge.ini"
+        path.write_text("[postprocess]\nlookahead = 1\ndisc_radius = 0\nmerge_spatial = 0\n"
+                        "merge_temporal = 0\n[evaluation]\nspatial_th = 0\n")
+        cfg = cli.load_run_config(path)
+        assert (cfg.postprocess.disc_radius, cfg.evaluation.spatial_th) == (0.0, 0.0)
 
     def test_readme_configs_load(self):
         paths = set(re.findall(r"--config (\S+)", (REPO / "README.md").read_text()))
@@ -293,6 +325,16 @@ class TestDetectCommand:
         # a 1392x1040 video at the [data] defaults: 80 windows of 256 px,
         # step 128, x4 down to 64x64; holding every window's event maps
         # would take 80 x 10 x [16,64,64] float64 = 419 MB
+        self.full_geometry_ranking(tmp_path, capsys)
+
+    def test_full_geometry_ranking_holds_one_window_on_two_lanes(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # windows in pairs, whatever the BLAS thread count of the machine
+        monkeypatch.setattr(net, "_two_lanes", lambda: True)
+        self.full_geometry_ranking(tmp_path, capsys)
+
+    @staticmethod
+    def full_geometry_ranking(tmp_path, capsys):
         rng = np.random.default_rng(0)
         export_video(VideoSource.from_arrays(
             rng.integers(0, 256, (15, 1040, 1392), dtype=np.uint8)), [], tmp_path / "video")
@@ -310,6 +352,65 @@ class TestDetectCommand:
         out = capsys.readouterr().out
         assert "mean_score" in out and "--division-class" in out
         assert peak < 150 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MB"
+
+
+DESK_INI = """[data]
+window_size = 64
+window_step = 64
+downsample = 1
+augment = false
+"""
+
+
+def one_window_at_a_time(model, windows):
+    """Reference for ``net.window_maps``: each window in turn on the caller."""
+    maps_of = net.supervised_maps if model.kind == "supervised" else net.detect_events
+    return (maps_of(model, frames) for frames in windows)
+
+
+@pytest.fixture(scope="module")
+def desk_clip(tmp_path_factory):
+    """A 20-frame 64x64 clip and the detect config of the desk benchmark."""
+    work = tmp_path_factory.mktemp("desk")
+    video, annotations = synth_generate(SyntheticConfig(
+        seed=1, frame_count=20, division_prob=0.1, blob_count=10, blob_radius=3.0))
+    export_video(video, annotations, work / "frames")
+    (work / "desk.ini").write_text(DESK_INI)
+    return work
+
+
+class TestDetectWindowPairs:
+    def detect_outputs(self, clip, frame_range, capsys):
+        """Exit codes, stdout and detections.csv bytes of the sup flow and of
+        the unsup ranking and top-class flows."""
+        common = ["detect", "--config", str(clip / "desk.ini"), "--frames",
+                  str(clip / "frames"), "--range", frame_range,
+                  "--out", str(clip / "out" / "d.csv")]
+        outputs = []
+        for model, extra in (("sup", []), ("unsup", []), ("unsup", None)):
+            if extra is None:  # the ranking's top class
+                extra = ["--division-class", outputs[-1][1].splitlines()[1].split()[0]]
+            code = run(common + ["--model", str(REPO / "benchmarks" / "fixtures" /
+                                               f"{model}.ckpt")] + extra)
+            csv_path = clip / "out" / "d.csv"
+            written = csv_path.read_bytes() if csv_path.exists() else None
+            if csv_path.exists():
+                csv_path.unlink()
+            outputs.append((code, capsys.readouterr().out, written))
+        return outputs
+
+    # sup windows are 10 frames and unsup 15: 20 frames give 11 and 6, 19
+    # give 10 and 5
+    @pytest.mark.parametrize("frame_range", ["0:20", "0:19"])
+    def test_outputs_byte_identical(self, desk_clip, frame_range, capsys, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(net, "window_maps", one_window_at_a_time)
+            expected = self.detect_outputs(desk_clip, frame_range, capsys)
+        assert [code for code, _, _ in expected] == [0, 2, 0]
+        assert expected[0][2].count(b"\n") > 1  # some detections to compare
+        for lanes in (True, False):
+            monkeypatch.setattr(net, "_two_lanes", lambda: lanes)
+            assert self.detect_outputs(desk_clip, frame_range, capsys) == expected, lanes
 
 
 class TestEvalCommand:
@@ -377,6 +478,18 @@ class TestEvalCommand:
         assert float(row["precision"]) == pytest.approx(0.767, abs=0.0005)
         assert float(row["recall"]) == pytest.approx(0.578, abs=0.0005)
         assert float(row["f1"]) == pytest.approx(0.659, abs=0.0005)
+
+    def test_negative_temporal_threshold_rejected(self, tmp_path, capsys):
+        det = tmp_path / "d.csv"
+        det.write_text("frame,x,y,class,score\n3,10,10,0,1.0\n")
+        ann = tmp_path / "a.csv"
+        ann.write_text("frame,x,y\n3,10,10\n")
+        code = run(["eval", "--detections", str(det), "--annotations", str(ann),
+                    "--th", "1", "--th", "-1", "--out", str(tmp_path / "s.csv"),
+                    "--hist", str(tmp_path / "h.csv")])
+        assert code == 2
+        assert "--th -1 must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_malformed_detection_csv_reports_line(self, tmp_path, capsys):
         det = tmp_path / "d.csv"

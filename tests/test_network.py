@@ -462,6 +462,11 @@ class TestTwoLanes:
             net._both(failing, slow)
         assert finished == [True]
 
+    def test_one_helper_thread_for_every_call(self):
+        # a new thread per call could take a new malloc arena each time
+        helpers = {net._both(lambda: None, threading.get_ident)[1] for _ in range(5)}
+        assert len(helpers) == 1 and threading.get_ident() not in helpers
+
     def test_forked_child_starts_its_own_helper(self, tiny_unsup_model):
         # the parent's helper thread does not exist in a forked child: a
         # child that reused its executor would queue work nobody runs
@@ -484,6 +489,114 @@ class TestTwoLanes:
             net.backward_supervised(tiny_sup_model, sout)
 
 
+# ---------------------------------------------------------------------------
+# detect windows two at a time
+# ---------------------------------------------------------------------------
+
+def _load_fixture(kind):
+    return net.load_checkpoint(FIXTURES / f"{kind}.ckpt")
+
+
+class TestWindowMaps:
+    @pytest.fixture(autouse=True, params=[True, False], ids=["lanes", "one-lane"])
+    def lanes(self, request, monkeypatch):
+        monkeypatch.setattr(net, "_two_lanes", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("count", [1, 4, 5])
+    def test_maps_in_window_order(self, tiny_unsup_model, tiny_sup_model, count):
+        rng = np.random.default_rng(40)
+        windows = [random_frames(rng, 3, 8) for _ in range(count)]
+        for model, maps_of in ((tiny_unsup_model, net.detect_events),
+                               (tiny_sup_model, net.supervised_maps)):
+            got = list(net.window_maps(model, iter(windows)))
+            assert len(got) == count
+            for maps, frames in zip(got, windows):
+                for a, b in zip(maps, maps_of(model, frames)):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_forward_only_maps_equal_traced_forward(self, tiny_unsup_model, tiny_sup_model):
+        frames = random_frames(np.random.default_rng(41), 5, 8)
+        out = net.forward_unsupervised(tiny_unsup_model, frames)
+        targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+        sout = net.forward_supervised(tiny_sup_model, frames[2:], targets)
+        (events,) = net.window_maps(tiny_unsup_model, [frames[2:]])
+        (maps,) = net.window_maps(tiny_sup_model, [frames[2:]])
+        for a, b in zip(events + maps, out.events + sout.maps):
+            np.testing.assert_array_equal(a, b)
+
+    def test_readers_run_on_their_windows_thread(self, tiny_unsup_model, lanes,
+                                                 monkeypatch):
+        model = tiny_unsup_model
+        rng = np.random.default_rng(42)
+        windows = [random_frames(rng, 3, 8) for _ in range(3)]
+        readers = {id(model.event_fwd): "fwd", id(model.event_bwd): "bwd"}
+        threads = {}  # (window, reader) -> threads of its unrolls
+        real = cl.unroll
+
+        def record(params, xs, *args, **kwargs):
+            if id(params) in readers:
+                window = next(i for i, w in enumerate(windows)
+                              if any(x is f for x in xs for f in w))
+                threads.setdefault((window, readers[id(params)]), set()).add(
+                    threading.get_ident())
+            return real(params, xs, *args, **kwargs)
+
+        monkeypatch.setattr(cl, "unroll", record)
+        list(net.window_maps(model, windows))
+        caller = {threading.get_ident()}
+        assert len(threads) == 6 and all(len(t) == 1 for t in threads.values())
+        if not lanes:
+            assert set.union(*threads.values()) == caller
+            return
+        # a pair: each window on its own lane, both of its readers in turn
+        assert threads[0, "fwd"] == threads[0, "bwd"] == caller
+        assert threads[1, "fwd"] == threads[1, "bwd"] != caller
+        # the odd window out runs alone, its readers on two lanes
+        assert threads[2, "fwd"] == caller != threads[2, "bwd"]
+
+    def test_helper_window_error_waits_for_caller_window(self, tiny_unsup_model,
+                                                         monkeypatch):
+        rng = np.random.default_rng(43)
+        windows = [random_frames(rng, 3, 8) for _ in range(2)]
+        finished = []
+        real = net.detect_events
+
+        def detect(model, frames):
+            if frames is windows[1]:
+                raise RuntimeError("second window failed")
+            time.sleep(0.2)
+            maps = real(model, frames)
+            finished.append(True)
+            return maps
+
+        monkeypatch.setattr(net, "detect_events", detect)
+        with pytest.raises(RuntimeError, match="second window failed"):
+            list(net.window_maps(tiny_unsup_model, windows))
+        assert finished == [True]
+
+    @pytest.mark.parametrize("kind", ["sup", "unsup"])
+    def test_two_desk_windows_peak(self, kind, lanes):
+        # traced peak of two 64x64 desk windows (sup S=6 / unsup S=4): about
+        # 22 / 28 MiB on two lanes and 11 / 15 MiB on one; 43 / 44 and
+        # 22 / 23 MiB when each window keeps its readers' runs through the
+        # merge and every merged state through the head or output convs
+        model = _load_fixture(kind)
+        rng = np.random.default_rng(44)
+        frames = random_frames(rng, 10, 64)
+        windows = [frames, list(frames)]
+        list(net.window_maps(model, windows))  # first-call allocations out of the peak
+        tracemalloc.start()
+        try:
+            for _ in net.window_maps(model, windows):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 32 if lanes else 18
+        assert peak < bound * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
 PAPER = net.NetworkConfig(hidden_channels=32, event_classes=16)  # 64x64 frames
 
 
@@ -504,7 +617,8 @@ def test_paper_scale_backward_peak():
 
 
 def test_paper_scale_detect_keeps_no_step_trace(monkeypatch):
-    # traced peak 123 MiB without step traces, 239 MiB with them
+    # traced peak 61-69 MiB with one-frame unrolls that keep no cell
+    # states, 123 MiB with whole unrolls' states, 239 MiB with step traces
     model = net.init_unsupervised(PAPER, seed=0)
     frames = random_frames(np.random.default_rng(34), 10, 64)
     traces, held = [], []  # weak references to every step trace made
@@ -516,7 +630,7 @@ def test_paper_scale_detect_keeps_no_step_trace(monkeypatch):
         return state, trace
 
     def head(*args, **kwargs):
-        # the event head runs once every unroll is done
+        # the event head runs on each merged state as the merge makes it
         held.append(sum(ref() is not None for ref in traces))
         return real_head(*args, **kwargs)
 
@@ -529,7 +643,7 @@ def test_paper_scale_detect_keeps_no_step_trace(monkeypatch):
     finally:
         tracemalloc.stop()
     assert held == [0] * 10
-    assert peak < 180 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MiB"
+    assert peak < 100 * 2 ** 20, f"traced peak {peak / 2 ** 20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------
