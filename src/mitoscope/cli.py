@@ -135,7 +135,10 @@ def load_run_config(path=None) -> RunConfig:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise UsageError(f"{path}: malformed config: {exc}") from exc
     sections = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     for section_name in parser.sections():
         if section_name not in sections:
@@ -173,8 +176,10 @@ def format_run_config(cfg: RunConfig) -> str:
 def _apply_env_seed(cfg: RunConfig) -> None:
     seed = os.environ.get("MITOSCOPE_SEED")
     if seed is not None:
-        cfg.training.seed = int(seed)
-        cfg.synth.seed = int(seed)
+        try:
+            cfg.training.seed = cfg.synth.seed = int(seed)
+        except ValueError:
+            raise UsageError(f"MITOSCOPE_SEED must be an integer, got {seed!r}") from None
 
 
 def _write_effective_config(cfg: RunConfig, directory) -> None:

@@ -13,12 +13,10 @@ Note the output gate peeks at the NEW cell state. Peephole weights are
 per-element tensors over [S,H,W].
 
 A step runs the four gates' ``W_x * x + W_h * h_prev`` as one convolution of
-[x; h_prev] with the kernel [W_x | W_h]. The weights stay stored by role
-(``ConvLstmParams``), so the per-gate arrays keep their checkpoint names and
-stay contiguous views, as ``finite_diff_check`` probing needs.
+[x; h_prev] with the kernel [W_x | W_h], which ``ConvLstmParams`` stores as
+one array; the per-gate arrays under their checkpoint names are views of it.
 
-``unroll`` keeps one ``StepTrace`` per step for ``bptt``, or none with
-``keep=False`` (forward-only callers such as ``detect``). ``bptt`` consumes
+``unroll`` keeps one ``StepTrace`` per step for ``bptt``. ``bptt`` consumes
 the unroll: it drops each step's trace and state once that step is reversed,
 so a second ``bptt`` on the same unroll is an error. Neither shares state
 between calls, so two layers may run on two threads at once.
@@ -61,31 +59,31 @@ class CellState:
 
 @dataclass
 class ConvLstmParams:
-    """All weights of one layer in the stacked layout the kernels consume,
-    gates in the order i, f, c (candidate), o: input kernels ``w_x``
-    [4S,C_in,k,k], state kernels ``w_h`` [4S,S,k,k], biases ``b`` [4S] and
-    peepholes ``peep`` [3,S,H,W] of gates i, f, o."""
-    w_x: np.ndarray
-    w_h: np.ndarray
+    """All weights of one layer in the layout the step consumes, gates in
+    the order i, f, c (candidate), o: the fused kernel ``w`` [4S,C_in+S,k,k]
+    that convolves [x; h_prev], biases ``b`` [4S] and peepholes ``peep``
+    [3,S,H,W] of gates i, f, o."""
+    w: np.ndarray
     b: np.ndarray
     peep: np.ndarray
 
     @property
     def state_channels(self) -> int:
-        return self.w_h.shape[1]
+        return self.peep.shape[1]
 
     @property
     def in_channels(self) -> int:
-        return self.w_x.shape[1]
+        return self.w.shape[1] - self.state_channels
 
     def named_arrays(self):
         """The 15 per-gate arrays under their checkpoint names, in checkpoint
         order (w_xi..w_xo, w_hi..w_ho, w_ci, w_cf, w_co, b_i..b_o). Each is
-        a C-contiguous view: writing through it changes the layer."""
-        s = self.state_channels
-        for prefix, stacked in (("w_x", self.w_x), ("w_h", self.w_h)):
+        a view: writing through it changes the layer. The ``w_x*`` and
+        ``w_h*`` views are strided."""
+        s, c_in = self.state_channels, self.in_channels
+        for prefix, cols in (("w_x", slice(None, c_in)), ("w_h", slice(c_in, None))):
             for g, gate in enumerate("ifco"):
-                yield prefix + gate, stacked[g * s:(g + 1) * s]
+                yield prefix + gate, self.w[g * s:(g + 1) * s, cols]
         for g, gate in enumerate("ifo"):
             yield "w_c" + gate, self.peep[g]
         for g, gate in enumerate("ifco"):
@@ -110,7 +108,7 @@ class StepTrace:
 class UnrollResult:
     states: list  # CellState per step, in forward time order
     final: CellState  # state after the last processed step
-    traces: list | None  # StepTrace per step, in iteration order; None if not kept
+    traces: list  # StepTrace per step, in iteration order; None once reversed
     reverse: bool
 
 
@@ -119,15 +117,8 @@ def zero_state(state_channels: int, height: int, width: int) -> CellState:
     return CellState(np.zeros(shape), np.zeros(shape))
 
 
-def _fused_kernel(params: ConvLstmParams) -> np.ndarray:
-    """The [4S,C+S,k,k] kernel [W_x | W_h] that convolves [x; h_prev]."""
-    return np.concatenate([params.w_x, params.w_h], axis=1)
-
-
-def step(params: ConvLstmParams, x: np.ndarray, prev: CellState,
-         kernel: np.ndarray | None = None) -> tuple[CellState, StepTrace]:
-    """One recurrence step. Returns the new state and the trace backward needs.
-    ``kernel`` is ``params``' fused kernel when the caller holds it already."""
+def step(params: ConvLstmParams, x: np.ndarray, prev: CellState) -> tuple[CellState, StepTrace]:
+    """One recurrence step. Returns the new state and the trace backward needs."""
     s = params.state_channels
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] != params.in_channels:
@@ -140,9 +131,7 @@ def step(params: ConvLstmParams, x: np.ndarray, prev: CellState,
     if params.peep.shape[1:] != prev.c.shape:
         raise ValueError(
             f"step: peephole shape {params.peep.shape[1:]} != state shape {prev.c.shape}")
-    if kernel is None:
-        kernel = _fused_kernel(params)
-    z, _ = conv2d_same(np.concatenate([x, prev.h]), kernel, params.b)
+    z, _ = conv2d_same(np.concatenate([x, prev.h]), params.w, params.b)
 
     w_ci, w_cf, w_co = params.peep
     i = sigmoid(z[:s] + w_ci * prev.c)
@@ -154,8 +143,8 @@ def step(params: ConvLstmParams, x: np.ndarray, prev: CellState,
     return CellState(h, c), StepTrace(prev, x, i, f, g, o, c)
 
 
-def _step_backward(params: ConvLstmParams, kernel: np.ndarray, tr: StepTrace,
-                   d_h: np.ndarray, d_c_in: np.ndarray, grads: ConvLstmParams):
+def _step_backward(params: ConvLstmParams, tr: StepTrace, d_h: np.ndarray,
+                   d_c_in: np.ndarray, grads: ConvLstmParams):
     """Reverse one step. Accumulates parameter gradients into ``grads`` and
     returns (d_x, d_h_prev, d_c_prev).
 
@@ -184,35 +173,30 @@ def _step_backward(params: ConvLstmParams, kernel: np.ndarray, tr: StepTrace,
     d_c_prev += d_zi * w_ci + d_zf * w_cf
 
     d_z = np.concatenate([d_zi, d_zf, d_zg, d_zo], axis=0)
-    conv = Conv2dTrace(np.concatenate([tr.x, tr.prev.h]), kernel)
+    conv = Conv2dTrace(np.concatenate([tr.x, tr.prev.h]), params.w)
     d_in, d_k, d_b = conv2d_same_backward(conv, d_z)
     c_in = params.in_channels
-    grads.w_x += d_k[:, :c_in]
-    grads.w_h += d_k[:, c_in:]
+    grads.w += d_k
     grads.b += d_b
     return d_in[:c_in], d_in[c_in:], d_c_prev
 
 
-def unroll(params: ConvLstmParams, xs, init: CellState, reverse: bool = False,
-           keep: bool = True) -> UnrollResult:
+def unroll(params: ConvLstmParams, xs, init: CellState,
+           reverse: bool = False) -> UnrollResult:
     """Iterate ``step`` over a frame sequence. With ``reverse`` the sequence
     is consumed from the last frame to the first; the returned per-step
-    states are re-aligned to forward time order either way. With ``keep``
-    false no step trace outlives its step, and the result cannot be
-    differentiated."""
+    states are re-aligned to forward time order either way."""
     n = len(xs)
     if n == 0:
         raise ValueError("unroll: cannot unroll an empty sequence")
     order = range(n - 1, -1, -1) if reverse else range(n)
-    kernel = _fused_kernel(params)
     state = init
     states: list = [None] * n
-    traces = [] if keep else None
+    traces = []
     for t in order:
-        state, tr = step(params, xs[t], state, kernel)
+        state, tr = step(params, xs[t], state)
         states[t] = state
-        if keep:
-            traces.append(tr)
+        traces.append(tr)
     return UnrollResult(states, state, traces, reverse)
 
 
@@ -228,9 +212,8 @@ def bptt(params: ConvLstmParams, run: UnrollResult, d_hidden,
     Consumes ``run``: each step's trace and state are dropped once that step
     is reversed.
     """
-    if run.traces is None or any(tr is None for tr in run.traces):
-        raise ValueError("bptt: the unroll holds no traces (kept none, or consumed "
-                         "by an earlier bptt)")
+    if any(tr is None for tr in run.traces):
+        raise ValueError("bptt: the unroll was consumed by an earlier bptt")
     n = len(run.traces)
     if len(d_hidden) != n:
         raise ValueError(f"bptt: upstream length {len(d_hidden)} != unroll length {n}")
@@ -244,11 +227,10 @@ def bptt(params: ConvLstmParams, run: UnrollResult, d_hidden,
     d_h_next = np.zeros(shape)
     d_c_next = np.zeros(shape) if d_c_final is None else np.asarray(d_c_final, dtype=np.float64)
     d_inputs: list = [None] * n
-    kernel = _fused_kernel(params)
     for j in range(n - 1, -1, -1):
         t = n - 1 - j if run.reverse else j
         d_h = d_h_next if d_hidden[t] is None else d_hidden[t] + d_h_next
-        d_x, d_h_next, d_c_next = _step_backward(params, kernel, run.traces[j], d_h,
+        d_x, d_h_next, d_c_next = _step_backward(params, run.traces[j], d_h,
                                                  d_c_next, grads)
         run.traces[j] = run.states[t] = None
         d_inputs[t] = d_x.copy()  # a view would pin the whole [C+S,H,W] gradient
@@ -270,9 +252,10 @@ def init_params(in_channels: int, state_channels: int, height: int, width: int,
     k, s = kernel_size, state_channels
     bx = xavier_bound(in_channels, s, k, k)
     bh = xavier_bound(s, s, k, k)
+    w_x = rng.uniform(-bx, bx, size=(4 * s, in_channels, k, k))
+    w_h = rng.uniform(-bh, bh, size=(4 * s, s, k, k))
     return ConvLstmParams(
-        rng.uniform(-bx, bx, size=(4 * s, in_channels, k, k)),
-        rng.uniform(-bh, bh, size=(4 * s, s, k, k)),
+        np.concatenate([w_x, w_h], axis=1),
         np.zeros(4 * s),
         np.zeros((3, s, height, width)),
     )

@@ -63,7 +63,10 @@ def read_pgm(path) -> np.ndarray:
         if pos >= len(data):
             raise ValueError(f"{path}: truncated PGM header")
         if data[pos:pos + 1] == b"#":  # comment to end of line
-            pos = data.index(b"\n", pos) + 1
+            end = data.find(b"\n", pos)
+            if end < 0:
+                raise ValueError(f"{path}: truncated PGM header (unterminated comment)")
+            pos = end + 1
             continue
         if data[pos:pos + 1].isspace():
             pos += 1
@@ -75,7 +78,12 @@ def read_pgm(path) -> np.ndarray:
         pos = end
     if fields[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {fields[0]!r})")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        width, height, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise ValueError(f"{path}: non-integer PGM header field in {fields[1:]!r}") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM width and height must be >= 1, got {width}x{height}")
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval

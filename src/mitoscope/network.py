@@ -19,10 +19,10 @@ whole on one thread, so results are bit-identical either way.
 
 A backward pass consumes its output's trace, dropping each part once it is
 reversed. The forward passes of ``detect`` (``detect_events``,
-``supervised_maps``) keep no step traces and no cell states: each layer
-unrolls one frame at a time, the readers keep only their hidden states, each
-step's merge features are built as the merge reads them, and the event head
-or output convolutions run on each merged state as it comes.
+``supervised_maps``) keep no step trace and no cell state past its step:
+each layer unrolls one frame at a time, the readers keep only their hidden
+states, each step's merge features are built as the merge reads them, and
+the event head or output convolutions run on each merged state as it comes.
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ def _reader_hiddens(params, frames, reverse=False):
     state = cl.zero_state(params.state_channels, *frames[0].shape[1:])
     hiddens = [None] * len(frames)
     for t in (range(len(frames) - 1, -1, -1) if reverse else range(len(frames))):
-        state = cl.unroll(params, [frames[t]], state, keep=False).final
+        state = cl.unroll(params, [frames[t]], state).final
         hiddens[t] = state.h
     return hiddens
 
@@ -396,7 +396,7 @@ def _merged_hiddens(model, frames):
     for t in range(len(frames)):
         x = tc.concat_channels(fwd[t], bwd[t])
         fwd[t] = bwd[t] = None
-        state = cl.unroll(model.event_merge, [x], state, keep=False).final
+        state = cl.unroll(model.event_merge, [x], state).final
         yield state.h
 
 

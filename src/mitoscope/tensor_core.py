@@ -475,7 +475,8 @@ def finite_diff_check(fn, inputs, analytic, step: float = 1e-5,
     """Central-difference check of analytic gradients against ``fn``.
 
     ``fn(*inputs)`` must return a scalar; ``analytic`` holds one gradient
-    array per input. Inputs are perturbed in place and restored exactly.
+    array per input. Inputs are perturbed in place, through ``arr.flat`` so
+    that strided views write through, and restored exactly.
     Arrays larger than ``max_coords`` are probed on a seeded random subset
     of coordinates. ``masks`` (optional, same structure as inputs) marks
     coordinates to check; use it to skip non-differentiable tie points.
@@ -485,15 +486,13 @@ def finite_diff_check(fn, inputs, analytic, step: float = 1e-5,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for pos, (arr, grad) in enumerate(zip(inputs, analytic)):
-        if not arr.flags.c_contiguous:
-            raise ValueError(f"finite_diff_check: input {pos} must be C-contiguous")
-        flat = arr.reshape(-1)
+        flat = arr.flat
         g_flat = np.asarray(grad).reshape(-1)
         m_flat = None if masks is None or masks[pos] is None else np.asarray(masks[pos]).reshape(-1)
-        if flat.size > max_coords:
-            coords = np.sort(rng.choice(flat.size, size=max_coords, replace=False))
+        if arr.size > max_coords:
+            coords = np.sort(rng.choice(arr.size, size=max_coords, replace=False))
         else:
-            coords = range(flat.size)
+            coords = range(arr.size)
         for i in coords:
             if m_flat is not None and not m_flat[i]:
                 continue

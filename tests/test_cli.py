@@ -156,6 +156,25 @@ class TestRunConfig:
         echoed = (out / "effective_config.ini").read_text()
         assert "seed = 99" in echoed
 
+    @pytest.mark.parametrize("text, detail", [
+        ("frame_size = 32\n", "File contains no section headers"),
+        ("[network]\nframe_size = 32\nframe_size = 64\n", "option 'frame_size'"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, detail):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "video"
+        assert run(["synth", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: malformed config" in err and detail in err
+
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, tiny_config, capsys,
+                                                 monkeypatch):
+        monkeypatch.setenv("MITOSCOPE_SEED", "abc")
+        out = tmp_path / "video"
+        assert run(["synth", "--config", tiny_config, "--out", str(out)]) == 2
+        assert "MITOSCOPE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_writes_frames_and_annotations(self, tmp_path, tiny_config):

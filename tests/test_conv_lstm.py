@@ -32,9 +32,10 @@ def scalar_params(w):
     def stacked(*names):
         return np.array([w[name] for name in names])
 
+    w_x = stacked("w_xi", "w_xf", "w_xc", "w_xo").reshape(4, 1, 1, 1)
+    w_h = stacked("w_hi", "w_hf", "w_hc", "w_ho").reshape(4, 1, 1, 1)
     return cl.ConvLstmParams(
-        stacked("w_xi", "w_xf", "w_xc", "w_xo").reshape(4, 1, 1, 1),
-        stacked("w_hi", "w_hf", "w_hc", "w_ho").reshape(4, 1, 1, 1),
+        np.concatenate([w_x, w_h], axis=1),
         stacked("b_i", "b_f", "b_c", "b_o"),
         stacked("w_ci", "w_cf", "w_co").reshape(3, 1, 1, 1),
     )
@@ -323,21 +324,8 @@ class TestBptt:
         cl.bptt(p, run, [np.ones((2, 4, 4))] * 3)
         assert run.traces == [None] * 3 and run.states == [None] * 3
         assert run.final is final
-        with pytest.raises(ValueError, match="holds no traces"):
+        with pytest.raises(ValueError, match="consumed by an earlier bptt"):
             cl.bptt(p, run, [np.ones((2, 4, 4))] * 3)
-
-    def test_unroll_without_traces(self):
-        rng = np.random.default_rng(13)
-        p = tiny_params(rng, c_in=1)
-        xs = [rng.uniform(0, 1, (1, 4, 4)) for _ in range(3)]
-        kept = cl.unroll(p, xs, cl.zero_state(2, 4, 4), reverse=True)
-        bare = cl.unroll(p, xs, cl.zero_state(2, 4, 4), reverse=True, keep=False)
-        assert bare.traces is None
-        for a, b in zip(kept.states, bare.states):
-            np.testing.assert_array_equal(a.h, b.h)
-            np.testing.assert_array_equal(a.c, b.c)
-        with pytest.raises(ValueError, match="holds no traces"):
-            cl.bptt(p, bare, [None] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +334,12 @@ class TestBptt:
 
 def two_conv_unroll(p, xs, init):
     """Forward steps with separate input and state convolutions, z = z_x + z_h."""
-    s = p.state_channels
+    s, c_in = p.state_channels, p.in_channels
+    w_x, w_h = p.w[:, :c_in], p.w[:, c_in:]
     w_ci, w_cf, w_co = p.peep
     state, saved = init, []
     for x in xs:
-        z = tc.conv2d_same(x, p.w_x, p.b)[0] + tc.conv2d_same(state.h, p.w_h, np.zeros(4 * s))[0]
+        z = tc.conv2d_same(x, w_x, p.b)[0] + tc.conv2d_same(state.h, w_h, np.zeros(4 * s))[0]
         i = tc.sigmoid(z[:s] + w_ci * state.c)
         f = tc.sigmoid(z[s:2 * s] + w_cf * state.c)
         g = np.tanh(z[2 * s:3 * s])
@@ -363,6 +352,8 @@ def two_conv_unroll(p, xs, init):
 
 def two_conv_bptt(p, saved, d_hidden):
     """BPTT through ``two_conv_unroll``, each convolution reversed on its own."""
+    c_in = p.in_channels
+    w_x, w_h = p.w[:, :c_in], p.w[:, c_in:]
     grads = p.zeros_like()
     w_ci, w_cf, w_co = p.peep
     d_h_next = d_c = np.zeros_like(saved[0][1].h)
@@ -377,11 +368,11 @@ def two_conv_bptt(p, saved, d_hidden):
         d_zg = d_c * i * (1.0 - g * g)
         grads.peep += np.stack([d_zi * prev.c, d_zf * prev.c, d_zo * c])
         d_z = np.concatenate([d_zi, d_zf, d_zg, d_zo])
-        d_x, d_wx, d_b = tc.conv2d_same_backward(tc.conv2d_same(x, p.w_x, p.b)[1], d_z)
+        d_x, d_wx, d_b = tc.conv2d_same_backward(tc.conv2d_same(x, w_x, p.b)[1], d_z)
         d_h_next, d_wh, _ = tc.conv2d_same_backward(
-            tc.conv2d_same(prev.h, p.w_h, p.b)[1], d_z)
-        grads.w_x += d_wx
-        grads.w_h += d_wh
+            tc.conv2d_same(prev.h, w_h, p.b)[1], d_z)
+        grads.w[:, :c_in] += d_wx
+        grads.w[:, c_in:] += d_wh
         grads.b += d_b
         d_c = d_c * f + d_zi * w_ci + d_zf * w_cf
         d_xs.insert(0, d_x)
@@ -437,7 +428,8 @@ class TestInit:
         for (n1, x), (n2, y) in zip(a.named_arrays(), b.named_arrays()):
             assert (x == y).all()
         c = cl.init_params(2, 3, 4, 4, seed=124)
-        assert (a.w_x != c.w_x).any()
+        assert (a.w[:, :a.in_channels] != c.w[:, :c.in_channels]).any()
+        assert (a.w[:, a.in_channels:] != c.w[:, c.in_channels:]).any()
 
     def test_zero_biases_and_peepholes(self):
         p = cl.init_params(2, 3, 4, 4, seed=0)
@@ -449,9 +441,14 @@ class TestInit:
         views = dict(p.named_arrays())
         views["w_ci"][:] = 1.5
         np.testing.assert_array_equal(p.peep[0], 1.5)
-        assert all(v.flags.c_contiguous for v in views.values())
-        assert sum(v.size for v in views.values()) == sum(
-            a.size for a in (p.w_x, p.w_h, p.b, p.peep))
+        stores = (p.w, p.b, p.peep)
+        assert all(any(np.shares_memory(v, a) for a in stores) for v in views.values())
+        # each stored element lies under exactly one view
+        for a in stores:
+            a[...] = 0.0
+        for v in views.values():
+            v += 1.0
+        assert all((a == 1.0).all() for a in stores)
 
     def test_uniform_variance(self):
         # kernel with >= 1e5 samples: 50 * 80 * 25 = 100k per gate kernel

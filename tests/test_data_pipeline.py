@@ -213,6 +213,25 @@ class TestFrameIO:
         dp.write_pgm(path, frame)
         np.testing.assert_array_equal(dp.read_pgm(path), frame)
 
+    def test_pgm_unterminated_comment_names_file(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n# no newline")
+        with pytest.raises(ValueError, match=r"f\.pgm: truncated PGM header"):
+            dp.read_pgm(path)
+
+    def test_pgm_non_integer_field_names_file(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\nxx 4\n255\n" + bytes(16))
+        with pytest.raises(ValueError, match=r"f\.pgm: non-integer PGM header field"):
+            dp.read_pgm(path)
+
+    @pytest.mark.parametrize("dims", [b"-2 4", b"4 0"])
+    def test_pgm_empty_or_negative_size_names_file(self, tmp_path, dims):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(16))
+        with pytest.raises(ValueError, match=r"f\.pgm: PGM width and height must be >= 1"):
+            dp.read_pgm(path)
+
     def test_load_directory(self, tmp_path):
         for i in range(3):
             dp.write_pgm(tmp_path / f"frame_{i:04d}.pgm",

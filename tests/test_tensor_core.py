@@ -537,6 +537,23 @@ class TestFiniteDiffCheck:
         assert err <= 1e-9
         assert len(calls) == 100  # 50 coords, two evals each
 
+    def test_strided_view_matches_contiguous_copy(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(4, 6, 3))
+        view = base[1:, ::2]  # strided: probed and restored through the base
+        w = rng.normal(size=view.shape)
+        before = base.copy()
+
+        def loss(x_):
+            return float((np.sin(x_) * w).sum())
+
+        grad = np.cos(view) * w * (1.0 + 1e-4)  # a deliberate, known error
+        on_view = tc.finite_diff_check(loss, [view], [grad], max_coords=20)
+        on_copy = tc.finite_diff_check(loss, [view.copy()], [grad], max_coords=20)
+        assert not view.flags.c_contiguous
+        assert on_view == on_copy and on_view > 5e-5
+        assert base.tobytes() == before.tobytes()
+
     def test_wta_tie_point_skipped(self):
         x = np.array([[[1.0]], [[1.0]]])  # exact tie: kink
         w = np.array([[[0.3]], [[0.9]]])
