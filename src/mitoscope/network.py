@@ -7,15 +7,18 @@ no event head) and the binary checkpoint format.
 Event maps are [n,M,M] float arrays: block-constant per grid cell, exactly
 one active class per cell, values in (0,1].
 
-Work that shares nothing runs on two lanes, the caller and a helper thread,
-when each lane's BLAS threads have cores of their own (numpy's OpenBLAS on
-one thread on two cores, as the benchmark pins it); with OpenBLAS at its
-default of one thread per core it runs one part after the other. In
-training the two lanes take the event branch's two readers, whose unrolls,
-and later their BPTTs, share nothing until the merge. In ``detect``
-(``window_maps``) they take two whole windows, and inside a lane the two
-readers run in turn, so no more than two lanes run at once. Each layer runs
-whole on one thread, so results are bit-identical either way.
+Work that shares nothing runs on the two lanes of ``lanes``, the caller and
+a helper thread, when each lane's BLAS threads have cores of their own
+(numpy's OpenBLAS on one thread on two cores, as the benchmark pins it);
+with OpenBLAS at its default of one thread per core it runs one part after
+the other. In training the two lanes take the event branch's two readers,
+whose unrolls, and later their BPTTs, share nothing until the merge. In
+``detect`` (``window_maps``) they take two whole windows. Inside a lane
+everything runs in turn, so no more than two lanes run at once; outside
+one, each Winograd convolution (the merge, encoder, decoder and output
+convs at paper scale) runs its stages as two halves on the lanes
+(``tensor_core``). Each part does the same operations in the same order on
+either thread, so results are bit-identical either way.
 
 A backward pass consumes its output's trace, dropping each part once it is
 reversed. The forward passes of ``detect`` (``detect_events``,
@@ -27,18 +30,13 @@ the event head or output convolutions run on each merged state as it comes.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import conv_lstm as cl
+from . import lanes
 from . import tensor_core as tc
 
 __all__ = [
@@ -254,80 +252,6 @@ def event_head(hidden, proj_w, proj_b, grid_factor: int = 8) -> np.ndarray:
     return y
 
 
-_OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                         "openblas_get_num_threads")
-
-
-@functools.cache
-def _openblas_threads():
-    """The thread-count getter of the OpenBLAS bundled with numpy, or None
-    when numpy carries no OpenBLAS of its own."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in _OPENBLAS_GET_THREADS:
-            if hasattr(lib, name):
-                get = getattr(lib, name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                return get
-    return None
-
-
-def _two_lanes() -> bool:
-    """Whether the two readers may run at once: only when each lane's BLAS
-    threads get cores of their own. Two lanes of spinning BLAS threads on
-    shared cores ran slower than one lane (two OpenBLAS threads each on two
-    cores). An unknown BLAS thread count runs one lane."""
-    get = _openblas_threads()
-    if get is None:
-        return False
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 2 * get() <= (cores or 1)
-
-
-_lane = threading.local()  # ``busy`` while this thread runs one of two lanes
-
-
-def _in_lane(fn):
-    _lane.busy = True
-    try:
-        return fn()
-    finally:
-        _lane.busy = False
-
-
-_helper = None  # (pid, one-worker pool) of this process's helper thread
-
-
-def _helper_lane() -> ThreadPoolExecutor:
-    """The process's one helper thread. One thread for the process's life
-    allocates from one malloc arena; a thread per call could start before
-    the last one had let go of its arena and take a new one, about 25 MiB
-    of peak RSS each. A forked child starts its own: it has no copy of the
-    parent's thread."""
-    global _helper
-    if _helper is None or _helper[0] != os.getpid():
-        _helper = (os.getpid(),
-                   ThreadPoolExecutor(max_workers=1, thread_name_prefix="mitoscope-lane"))
-    return _helper[1]
-
-
-def _both(first, second):
-    """Return ``(first(), second())``. When ``_two_lanes()`` holds and the
-    caller is not itself in a lane, ``second`` runs on the helper thread
-    while ``first`` runs on the caller; a ``_both`` inside either runs in
-    turn. An error in either reaches the caller, and never before
-    ``second`` has finished."""
-    if getattr(_lane, "busy", False) or not _two_lanes():
-        return first(), second()
-    pending = _helper_lane().submit(_in_lane, second)
-    try:
-        result = _in_lane(first)
-    finally:
-        wait([pending])
-    return result, pending.result()
-
-
 @dataclass
 class _EventBranchTrace:
     fwd_run: cl.UnrollResult
@@ -343,7 +267,7 @@ def _bidirectional_features(fwd_params, bwd_params, frames):
     s = fwd_params.state_channels
     h = frames[0].shape[1]
     w = frames[0].shape[2]
-    run_f, run_b = _both(
+    run_f, run_b = lanes.both(
         lambda: cl.unroll(fwd_params, frames, cl.zero_state(s, h, w)),
         lambda: cl.unroll(bwd_params, frames, cl.zero_state(s, h, w), reverse=True))
     feats = [tc.concat_channels(run_f.states[t].h, run_b.states[t].h)
@@ -370,8 +294,8 @@ def _event_branch_backward(model, trace: _EventBranchTrace, d_hidden):
         a, b = tc.concat_channels_backward(d, trace.split)
         d_fwd_h.append(a)
         d_bwd_h.append(b)
-    g_fwd, g_bwd = _both(lambda: cl.bptt(model.event_fwd, trace.fwd_run, d_fwd_h)[0],
-                         lambda: cl.bptt(model.event_bwd, trace.bwd_run, d_bwd_h)[0])
+    g_fwd, g_bwd = lanes.both(lambda: cl.bptt(model.event_fwd, trace.fwd_run, d_fwd_h)[0],
+                              lambda: cl.bptt(model.event_bwd, trace.bwd_run, d_bwd_h)[0])
     return g_fwd, g_bwd, g_merge
 
 
@@ -390,7 +314,7 @@ def _merged_hiddens(model, frames):
     """The event branch forward only: yield the merge layer's hidden state
     step by step. Each step's features are built as the merge reads them,
     and no reader or merge state outlives what reads it."""
-    fwd, bwd = _both(lambda: _reader_hiddens(model.event_fwd, frames),
+    fwd, bwd = lanes.both(lambda: _reader_hiddens(model.event_fwd, frames),
                      lambda: _reader_hiddens(model.event_bwd, frames, reverse=True))
     state = cl.zero_state(model.event_merge.state_channels, *frames[0].shape[1:])
     for t in range(len(frames)):
@@ -600,7 +524,7 @@ def supervised_maps(model: SupervisedModel, frames) -> list:
 def window_maps(model, windows):
     """Yield the maps of each window in window order: ``supervised_maps``
     of a supervised model's windows, ``detect_events`` of an unsupervised
-    model's target frames. When ``_two_lanes()`` holds, windows run two at a
+    model's target frames. When ``lanes.two_lanes()`` holds, windows run two at a
     time, the second of each pair on the helper thread; an error in either
     reaches the caller once both have finished. Otherwise they run one at a
     time."""
@@ -609,7 +533,7 @@ def window_maps(model, windows):
             return supervised_maps(model, frames)
         return detect_events(model, frames)
 
-    if not _two_lanes():
+    if not lanes.two_lanes():
         yield from map(maps_of, windows)
         return
     windows = iter(windows)
@@ -618,7 +542,7 @@ def window_maps(model, windows):
         if second is None:
             yield maps_of(first)
         else:
-            yield from _both(lambda: maps_of(first), lambda: maps_of(second))
+            yield from lanes.both(lambda: maps_of(first), lambda: maps_of(second))
 
 
 def forward_supervised(model: SupervisedModel, frames, targets) -> SupervisedOutput:

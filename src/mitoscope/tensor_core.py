@@ -1,10 +1,15 @@
 """Dense float64 tensor kernels with hand-derived gradients.
 
 Tensors are plain numpy float64 arrays in row-major order. Every kernel
-is a pure function: identical inputs give bit-identical outputs and no
-internal state is kept. Ops whose backward needs saved forward state
-return an opaque trace object alongside the output; hand the trace plus
-the upstream gradient to the matching ``*_backward`` function.
+is a pure function as its callers see it: identical inputs give
+bit-identical outputs and no internal state is kept. A Winograd
+convolution called outside a lane (``lanes``) may run half of each of its
+stages on the helper thread; the halves write disjoint parts of arrays the
+call allocated and sum nothing in another order, so the result is
+bit-identical whether they run at once or in turn. Ops whose backward
+needs saved forward state return an opaque trace object alongside the
+output; hand the trace plus the upstream gradient to the matching
+``*_backward`` function.
 
 ``conv2d_same`` and its backward take one of two paths, chosen from the
 kernel shape alone: Winograd minimal filtering F(4x4,5x5) for a 5x5 kernel
@@ -34,26 +39,31 @@ from im2col by rounding only (relative 1e-14 on the paper's shapes).
 
 Why the rule sits at 16 channels: the transforms cost O(C*H*W) per call
 against the GEMMs' O(C_in*C_out*H*W), so the gain grows with the channel
-counts. Timed per call at 64x64 on one BLAS thread (``tools/conv_paths.py``),
-Winograd forward plus backward is 2.5x slower at 1->16, about even at 4->16
-and 6->24, 1.5x faster at 16->16 and 2.4x at 64->128. Its forward alone
-loses on 4->16, 6->24, 8->16 and 8->32; from 12->12 up both passes win on
-every shape measured. A ConvLSTM layer convolves [x; h_prev] in one call,
+counts. Timed per call at 64x64 on one BLAS thread and one lane
+(``tools/conv_paths.py``, ``BENCH_conv_paths.json``), Winograd forward plus
+backward is 2.7x slower at 1->16, about even at 4->16 and 6->24, 1.5x
+faster at 16->16 and 2.6x at 64->128. Its forward alone loses on 4->16,
+6->24, 8->16 and 8->32; from 12->12 up both passes win on every shape
+measured. Its halves on two lanes take forward plus backward from 47.4 to
+25.1 ms at 33->128, from 102.3 to 53.4 ms at 96->128 and from 9.9 to 7.1 ms
+at 18->24. A ConvLSTM layer convolves [x; h_prev] in one call,
 (C+S)->4S (see ``conv_lstm``). At S=32, the paper's scale, its 33->128 and
 96->128 take Winograd, as do the 48->32 and 32->32 output convs; of the
 model's convs only the 1x1 ones stay on im2col. At desk scale the fused
 5->16, 7->24 and 12->16 and every output conv stay on im2col; the S=6
-event merge's 18->24 takes Winograd, which ``BENCH_conv_paths.json``
-already times faster at 12->24.
+event merge's 18->24 takes Winograd, 1.5x faster than im2col on one lane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from . import lanes
 
 __all__ = [
     "BCE_EPS",
@@ -170,59 +180,137 @@ def _tile_counts(h: int, w: int) -> tuple[int, int]:
     return -(-h // 4), -(-w // 4)
 
 
-def _winograd_input(x: np.ndarray) -> np.ndarray:
-    """Transformed input tiles V [64, C, nty*ntx] of a [C,H,W] input."""
-    c, h, w = x.shape
+# OpenBLAS computes the last rows or columns of a GEMM, when fewer than its
+# kernel width, with other kernels that round differently. A GEMM cut into
+# halves at a multiple of 8 rows or columns keeps every element in the same
+# kind of block as the whole GEMM, so each half rounds as the whole did
+# (Haswell kernels; a 64x64 frame cuts at multiples of 256 columns).
+_SPLIT = 8
+_FREQ_HALVES = (slice(0, 32), slice(32, 64))
+
+
+def _channel_halves(c: int, size: int) -> tuple[slice, slice]:
+    """``c`` channels of ``size`` GEMM rows or columns each, cut near the
+    middle at a multiple of ``_SPLIT`` rows or columns."""
+    step = _SPLIT // math.gcd(_SPLIT, size)
+    mid = step * ((c + step) // (2 * step))
+    return slice(0, mid), slice(mid, c)
+
+
+def _in_halves(stage, *halves) -> None:
+    """``stage`` on the first of each pair of ``halves`` and on the second,
+    on the two lanes."""
+    first, second = zip(*halves)
+    lanes.both(lambda: stage(*first), lambda: stage(*second))
+
+
+def _cols(a: np.ndarray, chans: slice) -> np.ndarray:
+    """Channels ``chans`` of a C-contiguous [R, C, n] array as the column
+    block [R, len*n] of its 2-D view, without a copy."""
+    n = a.shape[2]
+    return a.reshape(a.shape[0], -1)[:, chans.start * n:chans.stop * n]
+
+
+def _winograd_input(x: np.ndarray, chans: slice, v: np.ndarray) -> None:
+    """Transformed tiles of channels ``chans`` of a [C,H,W] input, into
+    those channels of V [64, C, nty*ntx]."""
+    _, h, w = x.shape
     nty, ntx = _tile_counts(h, w)
-    xp = np.zeros((c, 4 * nty + 4, 4 * ntx + 4))
-    xp[:, 2:2 + h, 2:2 + w] = x
+    xp = np.zeros((chans.stop - chans.start, 4 * nty + 4, 4 * ntx + 4))
+    xp[:, 2:2 + h, 2:2 + w] = x[chans]
     s0, s1, s2 = xp.strides
-    tiles = as_strided(xp, (8, 8, c, nty, ntx), (s1, s2, s0, 4 * s1, 4 * s2),
+    tiles = as_strided(xp, (8, 8, xp.shape[0], nty, ntx), (s1, s2, s0, 4 * s1, 4 * s2),
                        writeable=False)
-    return (_K_B @ tiles.reshape(64, -1)).reshape(64, c, nty * ntx)
+    np.matmul(_K_B, tiles.reshape(64, -1), out=_cols(v, chans))
 
 
-def _winograd_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Transformed kernel U [64, C_out, C_in]."""
+def _winograd_kernel(kernel: np.ndarray, freqs: slice) -> np.ndarray:
+    """Frequencies ``freqs`` of the transformed kernel U [64, C_out, C_in]."""
     c_out, c_in = kernel.shape[:2]
-    return (_K_G @ kernel.reshape(c_out * c_in, 25).T).reshape(64, c_out, c_in)
+    return (_K_G[freqs] @ kernel.reshape(c_out * c_in, 25).T).reshape(-1, c_out, c_in)
 
 
 def _winograd_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    _, h, w = x.shape
+    """Each stage runs as two halves on the two lanes, writing disjoint
+    parts of one array: the input transform by input channels, the kernel
+    transform and the 64 GEMMs by frequencies, the output transform by
+    output channels."""
+    c_in, h, w = x.shape
     c_out = kernel.shape[0]
     nty, ntx = _tile_counts(h, w)
-    m = np.matmul(_winograd_kernel(kernel), _winograd_input(x))
-    y = (_K_A @ m.reshape(64, -1)).reshape(4, 4, c_out, nty, ntx)
+    nt = nty * ntx
+    v = np.empty((64, c_in, nt))
+    _in_halves(lambda ci: _winograd_input(x, ci, v), _channel_halves(c_in, nt))
+    m = np.empty((64, c_out, nt))
+
+    def products(f):
+        np.matmul(_winograd_kernel(kernel, f), v[f], out=m[f])
+
+    _in_halves(products, _FREQ_HALVES)
+    del v  # the output transform does not read it
     out = np.empty((c_out, nty, 4, ntx, 4))
-    np.add(y.transpose(2, 3, 0, 4, 1), bias[:, None, None, None, None], out=out)
+
+    def output(co):
+        y = (_K_A @ _cols(m, co)).reshape(4, 4, -1, nty, ntx)
+        np.add(y.transpose(2, 3, 0, 4, 1), bias[co, None, None, None, None], out=out[co])
+
+    _in_halves(output, _channel_halves(c_out, nt))
     out = out.reshape(c_out, 4 * nty, 4 * ntx)
     return out if out.shape[1:] == (h, w) else np.ascontiguousarray(out[:, :h, :w])
 
 
 def _winograd_backward(x: np.ndarray, kernel: np.ndarray,
                        upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d_x, d_kernel) by the adjoint of each stage of ``_winograd_forward``."""
+    """(d_x, d_kernel) by the adjoint of each stage of ``_winograd_forward``,
+    each again as two halves on the two lanes: the input transform and the
+    upstream's output-transform adjoint by channels, the GEMMs by
+    frequencies, then the input-transform adjoint by input channels beside
+    the kernel-transform adjoint by output channels."""
     c_in, h, w = x.shape
     c_out = kernel.shape[0]
     nty, ntx = _tile_counts(h, w)
-    grid = np.zeros((c_out, nty, 4, ntx, 4))
-    grid.reshape(c_out, 4 * nty, 4 * ntx)[:, :h, :w] = upstream
-    d_y = np.ascontiguousarray(grid.transpose(2, 4, 0, 1, 3)).reshape(16, -1)
-    d_m = (_K_A.T @ d_y).reshape(64, c_out, nty * ntx)
-    d_u = np.matmul(d_m, _winograd_input(x).transpose(0, 2, 1))
-    d_kernel = (d_u.reshape(64, -1).T @ _K_G).reshape(kernel.shape)
-    d_v = np.matmul(_winograd_kernel(kernel).transpose(0, 2, 1), d_m)
-    d_tiles = (_K_B.T @ d_v.reshape(64, -1)).reshape(2, 4, 2, 4, c_in, nty, ntx)
-    # quadrant (qy,qx) of tile (ty,tx) lands on 4x4 block (ty+qy, tx+qx) of
-    # the padded input, held as [row phase, col phase, C, block row, block col]
-    # so that each of the four adds runs over contiguous rows of blocks
-    d_pad = np.zeros((4, 4, c_in, nty + 1, ntx + 1))
-    for qy in (0, 1):
-        for qx in (0, 1):
-            d_pad[:, :, :, qy:qy + nty, qx:qx + ntx] += d_tiles[qy, :, qx]
-    d_pad = d_pad.transpose(2, 3, 0, 4, 1).reshape(c_in, 4 * nty + 4, 4 * ntx + 4)
-    return np.ascontiguousarray(d_pad[:, 2:2 + h, 2:2 + w]), d_kernel
+    nt = nty * ntx
+    v = np.empty((64, c_in, nt))
+    d_m = np.empty((64, c_out, nt))
+
+    def transforms(ci, co):
+        _winograd_input(x, ci, v)
+        grid = np.zeros((co.stop - co.start, nty, 4, ntx, 4))
+        grid.reshape(-1, 4 * nty, 4 * ntx)[:, :h, :w] = upstream[co]
+        d_y = np.ascontiguousarray(grid.transpose(2, 4, 0, 1, 3)).reshape(16, -1)
+        np.matmul(_K_A.T, d_y, out=_cols(d_m, co))
+
+    _in_halves(transforms, _channel_halves(c_in, nt), _channel_halves(c_out, nt))
+    d_u = np.empty((64, c_out, c_in))
+    d_v = np.empty((64, c_in, nt))
+
+    def products(f):
+        np.matmul(d_m[f], v[f].transpose(0, 2, 1), out=d_u[f])
+        np.matmul(_winograd_kernel(kernel, f).transpose(0, 2, 1), d_m[f], out=d_v[f])
+
+    _in_halves(products, _FREQ_HALVES)
+    del v, d_m  # the adjoints read neither; freed, they keep the peak down
+    d_x = np.empty((c_in, h, w))
+    d_kernel = np.empty(kernel.shape)
+
+    def adjoints(ci, co):
+        n = ci.stop - ci.start
+        d_tiles = (_K_B.T @ _cols(d_v, ci)).reshape(2, 4, 2, 4, n, nty, ntx)
+        # quadrant (qy,qx) of tile (ty,tx) lands on 4x4 block (ty+qy, tx+qx)
+        # of the padded input, held as [row phase, col phase, C, block row,
+        # block col] so that each of the four adds runs over contiguous rows
+        # of blocks
+        d_pad = np.zeros((4, 4, n, nty + 1, ntx + 1))
+        for qy in (0, 1):
+            for qx in (0, 1):
+                d_pad[:, :, :, qy:qy + nty, qx:qx + ntx] += d_tiles[qy, :, qx]
+        d_pad = d_pad.transpose(2, 3, 0, 4, 1).reshape(n, 4 * nty + 4, 4 * ntx + 4)
+        d_x[ci] = d_pad[:, 2:2 + h, 2:2 + w]
+        np.matmul(_cols(d_u, co).T, _K_G,
+                  out=d_kernel.reshape(-1, 25)[co.start * c_in:co.stop * c_in])
+
+    _in_halves(adjoints, _channel_halves(c_in, nt), _channel_halves(c_out, c_in))
+    return d_x, d_kernel
 
 
 def conv2d_same(x, kernel, bias) -> tuple[np.ndarray, Conv2dTrace]:

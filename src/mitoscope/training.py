@@ -8,7 +8,9 @@ The optimizer keeps one running mean-square accumulator per parameter:
 Training is a deterministic function of (initial model, dataset order,
 seed, config); per-epoch shuffling uses a generator seeded from the run
 seed. The event branch's two readers may run on two threads, each whole on
-one, so results are bit-identical whatever the thread timing.
+one, and outside them each Winograd convolution may run its halves on the
+same two threads (``lanes``); no part sums in another order on either
+thread, so results are bit-identical whatever the thread timing.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.decay_rate < 1.0):
             raise ValueError(f"decay_rate must be in (0,1), got {self.decay_rate}")
-        # zero is allowed so a null update can be expressed
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        # zero is allowed so a null update can be expressed; a NaN or infinite
+        # rate would turn every weight into NaN on the first step
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mitoscope import cli
+from mitoscope import lanes
 from mitoscope import network as net
 from mitoscope.data_pipeline import (SyntheticConfig, VideoSource, export_video,
                                      load_annotations, load_frames, read_pgm,
@@ -95,6 +96,15 @@ class TestRunConfig:
         with pytest.raises(cli.UsageError,
                            match=r"bad\.ini: bad \[data\] section: window_size 62 is not "
                                  r"divisible by downsample 4"):
+            cli.load_run_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_names_file(self, tmp_path, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[training]\nlearning_rate = {value}\n")
+        with pytest.raises(cli.UsageError,
+                           match=rf"bad\.ini: bad \[training\] section: learning_rate must be "
+                                 rf"finite and >= 0, got {value}"):
             cli.load_run_config(path)
 
     def test_network_sizes_checked(self, tmp_path):
@@ -349,7 +359,7 @@ class TestDetectCommand:
     def test_full_geometry_ranking_holds_one_window_on_two_lanes(self, tmp_path, capsys,
                                                                monkeypatch):
         # windows in pairs, whatever the BLAS thread count of the machine
-        monkeypatch.setattr(net, "_two_lanes", lambda: True)
+        monkeypatch.setattr(lanes, "two_lanes", lambda: True)
         self.full_geometry_ranking(tmp_path, capsys)
 
     @staticmethod
@@ -427,9 +437,9 @@ class TestDetectWindowPairs:
             expected = self.detect_outputs(desk_clip, frame_range, capsys)
         assert [code for code, _, _ in expected] == [0, 2, 0]
         assert expected[0][2].count(b"\n") > 1  # some detections to compare
-        for lanes in (True, False):
-            monkeypatch.setattr(net, "_two_lanes", lambda: lanes)
-            assert self.detect_outputs(desk_clip, frame_range, capsys) == expected, lanes
+        for on in (True, False):
+            monkeypatch.setattr(lanes, "two_lanes", lambda: on)
+            assert self.detect_outputs(desk_clip, frame_range, capsys) == expected, on
 
 
 class TestEvalCommand:

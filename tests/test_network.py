@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from mitoscope import conv_lstm as cl
+from mitoscope import lanes
 from mitoscope import network as net
 from mitoscope import tensor_core as tc
 from conftest import perturb_model, random_frames, tiny_config
@@ -338,22 +339,32 @@ class TestBuildSupervisedTarget:
 # ---------------------------------------------------------------------------
 
 def _serial(first, second):
-    """Reference for ``net._both``: the two directions one after the other."""
+    """Reference for ``lanes.both``: the two parts one after the other."""
     return first(), second()
 
 
+# S=4 at a tiny configuration; S=32 at the paper's sequence lengths and
+# class count, where the merge (96->128), encoder, readers and decoder
+# (33->128) and the recon conv (48->32 or 32->32) run Winograd
+BIT_EQUAL_CONFIGS = {4: tiny_config(frame_size=16, hidden_channels=4, event_classes=4),
+                     32: net.NetworkConfig(frame_size=32, hidden_channels=32, event_classes=16)}
+
+
 def _all_outputs(s):
-    """Losses, maps and every gradient of both models, plus the detect maps."""
-    cfg = tiny_config(frame_size=16, hidden_channels=s, event_classes=4)
+    """Losses, maps and every gradient of a whole sample of both models,
+    plus the detect maps."""
+    cfg = BIT_EQUAL_CONFIGS[s]
     rng = np.random.default_rng(s)
-    frames = random_frames(rng, 5, 16)
+    m, context = cfg.frame_size, cfg.encoder_len
+    frames = random_frames(rng, context + cfg.target_len, m)
     model = perturb_model(net.init_unsupervised(cfg, seed=s), rng)
     smodel = perturb_model(net.init_supervised(cfg, seed=s + 1), rng)
-    targets = net.build_supervised_target([(1, 5, 9)], 16, 3)
+    targets = net.build_supervised_target([(1, 5, 9)], m, cfg.target_len)
     out = net.forward_unsupervised(model, frames)
-    sout = net.forward_supervised(smodel, frames[2:], targets)
+    sout = net.forward_supervised(smodel, frames[context:], targets)
     arrays = [out.loss, *out.frames, *out.events, sout.loss, *sout.maps,
-              *net.detect_events(model, frames[2:]), *net.supervised_maps(smodel, frames[2:])]
+              *net.detect_events(model, frames[context:]),
+              *net.supervised_maps(smodel, frames[context:])]
     arrays += [g for _, g in net.backward_unsupervised(model, out).named_params()]
     arrays += [g for _, g in net.backward_supervised(smodel, sout).named_params()]
     return arrays
@@ -389,8 +400,8 @@ class TestLaneChoice:
         src = str(Path(net.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n),
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        probe = ("from mitoscope import network as n; "
-                 "print(n._openblas_threads() is not None, n._two_lanes())")
+        probe = ("from mitoscope import lanes; "
+                 "print(lanes.openblas_threads() is not None, lanes.two_lanes())")
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
         if out[0] == "False":
@@ -398,7 +409,7 @@ class TestLaneChoice:
         assert out[1] == str(2 * n <= cores)
 
     def test_one_lane_runs_on_the_caller(self, tiny_unsup_model, monkeypatch):
-        monkeypatch.setattr(net, "_two_lanes", lambda: False)
+        monkeypatch.setattr(lanes, "two_lanes", lambda: False)
         threads = _reader_threads(tiny_unsup_model, monkeypatch)
         assert set(threads.values()) == {threading.get_ident()}
 
@@ -407,15 +418,15 @@ class TestTwoLanes:
     @pytest.fixture(autouse=True)
     def two_lanes(self, monkeypatch):
         # whatever the BLAS thread count of the machine running the tests
-        monkeypatch.setattr(net, "_two_lanes", lambda: True)
+        monkeypatch.setattr(lanes, "two_lanes", lambda: True)
 
     @pytest.mark.parametrize("s", [4, 32])
     def test_bit_equal_to_serial(self, s, monkeypatch):
-        lanes = _all_outputs(s)
-        monkeypatch.setattr(net, "_both", _serial)
+        on_lanes = _all_outputs(s)
+        monkeypatch.setattr(lanes, "both", _serial)
         serial = _all_outputs(s)
-        assert len(lanes) == len(serial)
-        for a, b in zip(lanes, serial):
+        assert len(on_lanes) == len(serial)
+        for a, b in zip(on_lanes, serial):
             np.testing.assert_array_equal(a, b)
 
     def test_backward_reader_runs_on_the_helper(self, tiny_unsup_model, monkeypatch):
@@ -459,12 +470,12 @@ class TestTwoLanes:
             raise RuntimeError("first lane failed")
 
         with pytest.raises(RuntimeError, match="first lane failed"):
-            net._both(failing, slow)
+            lanes.both(failing, slow)
         assert finished == [True]
 
     def test_one_helper_thread_for_every_call(self):
         # a new thread per call could take a new malloc arena each time
-        helpers = {net._both(lambda: None, threading.get_ident)[1] for _ in range(5)}
+        helpers = {lanes.both(lambda: None, threading.get_ident)[1] for _ in range(5)}
         assert len(helpers) == 1 and threading.get_ident() not in helpers
 
     def test_forked_child_starts_its_own_helper(self, tiny_unsup_model):
@@ -500,7 +511,7 @@ def _load_fixture(kind):
 class TestWindowMaps:
     @pytest.fixture(autouse=True, params=[True, False], ids=["lanes", "one-lane"])
     def lanes(self, request, monkeypatch):
-        monkeypatch.setattr(net, "_two_lanes", lambda: request.param)
+        monkeypatch.setattr(lanes, "two_lanes", lambda: request.param)
         return request.param
 
     @pytest.mark.parametrize("count", [1, 4, 5])

@@ -1,12 +1,15 @@
 """Tensor kernel tests: closed-form cases, independent oracles, gradient checks."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mitoscope import lanes
 from mitoscope import tensor_core as tc
 
 
@@ -273,6 +276,109 @@ def test_winograd_transforms_give_1d_correlation():
         taps, d = rng.normal(size=5), rng.normal(size=8)
         y = a_t @ ((g @ taps) * (b_t @ d))
         np.testing.assert_allclose(y, np.correlate(d, taps, "valid"), rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# conv2d_same: Winograd stages in two halves on the two lanes
+# ---------------------------------------------------------------------------
+
+# odd channel halves, ragged and sub-tile frames, and the paper's two
+# recurrent convs
+HALVES_SHAPES = [((16, 6, 5), 16), ((17, 9, 4), 16), ((16, 3, 3), 18),
+                 ((33, 64, 64), 128), ((96, 64, 64), 128)]
+
+
+def winograd_conv(x_shape, c_out):
+    """(x, kernel, bias, upstream) of a seeded Winograd conv."""
+    rng = np.random.default_rng(sum(x_shape) * 7 + c_out)
+    x = rng.normal(size=x_shape)
+    k = rng.normal(scale=0.1, size=(c_out, x_shape[0], 5, 5))
+    assert tc._winograd_eligible(k.shape)
+    return x, k, rng.normal(size=c_out), rng.normal(size=(c_out,) + x_shape[1:])
+
+
+def conv_outputs(x, k, b, up):
+    """Output, d_x, d_kernel and d_bias of one conv and its backward."""
+    out, trace = tc.conv2d_same(x, k, b)
+    return (out, *tc.conv2d_same_backward(trace, up))
+
+
+def whole_stages(stage, *halves):
+    """Each stage once over its whole range, as one GEMM per transform."""
+    stage(*(slice(first.start, second.stop) for first, second in halves))
+
+
+def record_halves(monkeypatch):
+    """Per input array, the threads its Winograd input transforms ran on."""
+    threads = {}
+    real = tc._winograd_input
+
+    def record(x, chans, v):
+        threads.setdefault(id(x), set()).add(threading.get_ident())
+        return real(x, chans, v)
+
+    monkeypatch.setattr(tc, "_winograd_input", record)
+    return threads
+
+
+class TestWinogradHalves:
+    @pytest.fixture(params=[True, False], ids=["lanes", "one-lane"])
+    def two_lanes(self, request, monkeypatch):
+        monkeypatch.setattr(lanes, "two_lanes", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("x_shape, c_out", HALVES_SHAPES)
+    def test_bit_equal_to_one_lane(self, x_shape, c_out, two_lanes, monkeypatch):
+        conv = winograd_conv(x_shape, c_out)
+        got = conv_outputs(*conv)
+        monkeypatch.setattr(lanes, "two_lanes", lambda: False)
+        for a, b in zip(got, conv_outputs(*conv)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("x_shape, c_out", HALVES_SHAPES)
+    def test_bit_equal_to_whole_stages(self, x_shape, c_out, two_lanes, monkeypatch):
+        # the halves cut every GEMM where the whole GEMM's blocks meet, so
+        # they round as one GEMM per stage does
+        conv = winograd_conv(x_shape, c_out)
+        got = conv_outputs(*conv)
+        monkeypatch.setattr(tc, "_in_halves", whole_stages)
+        for a, b in zip(got, conv_outputs(*conv)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_halves_run_on_both_lanes_outside_a_lane(self, two_lanes, monkeypatch):
+        threads = record_halves(monkeypatch)
+        x, k, b, up = winograd_conv((33, 16, 16), 128)
+        conv_outputs(x, k, b, up)
+        caller = threading.get_ident()
+        assert caller in threads[id(x)]
+        assert len(threads[id(x)]) == (2 if two_lanes else 1)
+
+    def test_halves_stay_on_their_lane(self, two_lanes, monkeypatch):
+        threads = record_halves(monkeypatch)
+        first = winograd_conv((33, 16, 16), 128)
+        second = winograd_conv((32, 16, 16), 128)
+        lanes.both(lambda: conv_outputs(*first), lambda: conv_outputs(*second))
+        caller = {threading.get_ident()}
+        assert threads[id(first[0])] == caller
+        assert len(threads[id(second[0])]) == 1
+        assert (threads[id(second[0])] != caller) == two_lanes
+
+    def test_helper_half_error_waits_for_caller_half(self, two_lanes, monkeypatch):
+        finished = []
+        real = tc._winograd_input
+
+        def transform(x, chans, v):
+            if chans.start > 0:  # the second half, the helper's when lanes run
+                raise RuntimeError("second half failed")
+            time.sleep(0.2)
+            real(x, chans, v)
+            finished.append(True)
+
+        monkeypatch.setattr(tc, "_winograd_input", transform)
+        x, k, b, _ = winograd_conv((16, 8, 8), 16)
+        with pytest.raises(RuntimeError, match="second half failed"):
+            tc.conv2d_same(x, k, b)
+        assert finished == [True]
 
 
 # ---------------------------------------------------------------------------

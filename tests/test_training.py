@@ -66,7 +66,9 @@ class TestRmspropStep:
 
     @pytest.mark.parametrize("name, value", [
         ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
-        ("epsilon", 0.0), ("epsilon", -1e-8), ("epochs", 0), ("epochs", -3)])
+        ("epsilon", 0.0), ("epsilon", -1e-8), ("epochs", 0), ("epochs", -3),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", float("-inf"))])
     def test_corrupting_setting_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=name):
             tr.TrainConfig(**{name: value})
