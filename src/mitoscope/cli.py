@@ -13,7 +13,10 @@ next to its outputs, and is deterministic given config + seed. The env var
 ``MITOSCOPE_SEED`` overrides the config seeds. ``detect`` runs its windows
 through ``network.window_maps``, two at a time where the machine has two
 lanes, and reduces them in window order, so its outputs are the same
-either way.
+either way. The unsupervised brightness-rise score maps are computed once
+per spatial window, over the stack its windows are views of, and each
+window reads its slice. A frame range that is empty, outside the video or
+shorter than one window is a usage error.
 """
 
 from __future__ import annotations
@@ -220,17 +223,29 @@ def load_detections(path) -> list:
     return dets
 
 
-def _parse_range(raw: str | None, count: int) -> tuple:
-    if raw is None:
-        return 0, count
-    try:
-        lo_s, hi_s = raw.split(":")
-        lo = int(lo_s) if lo_s else 0
-        hi = int(hi_s) if hi_s else count
-    except ValueError:
-        raise UsageError(f"bad range {raw!r}, expected A:B (half-open, 0-based)")
-    if not (0 <= lo < hi <= count):
-        raise UsageError(f"range {lo}:{hi} outside video of {count} frames")
+def _parse_range(raw: str | None, count: int, option: str, net_cfg, mode: str) -> tuple:
+    """Frames ``lo, hi`` of ``option`` (half-open, 0-based; the whole video
+    when not given), long enough for one window of ``mode``."""
+    lo, hi = 0, count
+    if raw is not None:
+        try:
+            lo_s, hi_s = raw.split(":")
+            lo = int(lo_s) if lo_s else 0
+            hi = int(hi_s) if hi_s else count
+        except ValueError:
+            raise UsageError(f"bad {option} {raw!r}, expected A:B (half-open, 0-based)")
+        if hi <= lo:
+            raise UsageError(f"{option} {lo}:{hi} is empty")
+        if not (0 <= lo and hi <= count):
+            raise UsageError(f"{option} {lo}:{hi} outside video of {count} frames")
+    need = _window_length(net_cfg, mode)
+    if hi - lo < need:
+        parts = f"target_len {net_cfg.target_len}"
+        if mode == "unsup":
+            parts = f"encoder_len {net_cfg.encoder_len} + {parts}"
+        got = (f"{option} {lo}:{hi} has {hi - lo} frames" if raw is not None
+               else f"the video has {count} frames and no {option} is given")
+        raise UsageError(f"{got}; {mode} windows need {need} ({parts})")
     return lo, hi
 
 
@@ -250,13 +265,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _window_length(net_cfg, mode) -> int:
+    return net_cfg.target_len if mode == "sup" else net_cfg.encoder_len + net_cfg.target_len
+
+
 def _build_dataset(cfg: RunConfig, video, frame_range, mode, augmented):
-    length = (cfg.network.target_len if mode == "sup"
-              else cfg.network.encoder_len + cfg.network.target_len)
     return dp.build_subsequences(
         video, frame_range=frame_range, window_size=cfg.data.window_size,
         window_step=cfg.data.window_step, downsample=cfg.data.downsample,
-        length=length, augmented=augmented)
+        length=_window_length(cfg.network, mode), augmented=augmented)
 
 
 def cmd_train(args) -> int:
@@ -268,7 +285,8 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--epochs: {exc}") from exc
     video = dp.load_frames(args.frames)
-    frame_range = _parse_range(args.train_range, video.count)
+    frame_range = _parse_range(args.train_range, video.count, "--train-range",
+                               cfg.network, args.mode)
 
     subs = _build_dataset(cfg, video, frame_range, args.mode, cfg.data.augment)
     if args.mode == "sup":
@@ -313,7 +331,7 @@ def cmd_detect(args) -> int:
     if k is not None and not 0 <= k < n:
         raise UsageError(f"--division-class {k} out of range for {n} classes")
     video = dp.load_frames(args.frames)
-    frame_range = _parse_range(args.range, video.count)
+    frame_range = _parse_range(args.range, video.count, "--range", cfg.network, mode)
     post = cfg.postprocess
     subs = _build_dataset(cfg, video, frame_range, mode, augmented=False)
 
@@ -322,20 +340,32 @@ def cmd_detect(args) -> int:
     # they come and dropped when the next window's replace them. Dropped any
     # sooner, the heap is trimmed between windows and each forward re-faults
     # its scratch (unsup desk: 10x faults).
+    # The disc-mean score maps are computed once per spatial window, over
+    # the stack its subsequences are views of, the first time one of its
+    # windows has a patch of the classes asked for; each window reads its
+    # slice of them. They are dropped when the next stack starts.
     enc, g = cfg.network.encoder_len, cfg.network.grid_factor
     classes = range(n) if k is None else [k]
     first = 0 if mode == "sup" else enc
     windows = (list(sub.frames[first:]) for sub in subs)
     detections, skipped = [], 0
+    stack = stack_maps = None
     for sub, maps in zip(subs, net.window_maps(model, windows)):
         if mode == "sup":
             detections += pp.threshold_detections(maps, sub, post.threshold)
-        else:
-            dets, skips = pp.window_detections(pp.class_grid(maps, g), sub, classes,
-                                               post.lookahead, post.disc_radius, g,
-                                               frame_offset=enc)
-            detections += dets
-            skipped += skips
+            continue
+        grid = pp.class_grid(maps, g)
+        if sub.frames.base is not stack:
+            stack, stack_maps = sub.frames.base, None
+        if stack_maps is None and np.isin(grid, classes).any():
+            stack_maps = pp.disc_mean_maps(stack, post.lookahead, post.disc_radius)
+        start = sub.t0 - frame_range[0]
+        score_maps = None if stack_maps is None else stack_maps[start:start + len(sub.frames)]
+        dets, skips = pp.window_detections(grid, sub, classes, post.lookahead,
+                                           post.disc_radius, g, frame_offset=enc,
+                                           score_maps=score_maps)
+        detections += dets
+        skipped += skips
 
     if mode == "unsup" and k is None:
         print("class  mean_score    patches")

@@ -52,12 +52,28 @@ def _draw_line(img, x0, y0, x1, y1, value=_FG):
             img[yi, xi] = value
 
 
+def _span(a: int, b: int, size: int) -> slice:
+    """The integers from ``a`` to ``b``, either order, inside ``[0, size)``."""
+    lo, hi = min(a, b), max(a, b)
+    return slice(max(lo, 0), max(min(hi + 1, size), 0))
+
+
+def _draw_axes(img, margin: int) -> None:
+    """The x axis at row ``height - margin`` and the y axis at column
+    ``margin``, as slices: the pixels ``_draw_line`` sets for them, whose
+    sample points lie less than a pixel apart."""
+    h, w = img.shape
+    if 0 <= h - margin < h:
+        img[h - margin, _span(margin, w - 8, w)] = _AXIS
+    if 0 <= margin < w:
+        img[_span(h - margin, 8, h), margin] = _AXIS
+
+
 def render_line_chart(values, width: int = 640, height: int = 400,
                       margin: int = 32) -> np.ndarray:
     """Polyline of a value series over its index, with plain axes."""
     img = _canvas(width, height)
-    _draw_line(img, margin, height - margin, width - 8, height - margin, _AXIS)
-    _draw_line(img, margin, height - margin, margin, 8, _AXIS)
+    _draw_axes(img, margin)
     if len(values) == 0:
         return img
     values = np.asarray(values, dtype=np.float64)
@@ -86,8 +102,7 @@ def render_bar_chart(counts, width: int = 640, height: int = 400,
                      margin: int = 32) -> np.ndarray:
     """Filled vertical bars for a count series (e.g. a histogram)."""
     img = _canvas(width, height)
-    _draw_line(img, margin, height - margin, width - 8, height - margin, _AXIS)
-    _draw_line(img, margin, height - margin, margin, 8, _AXIS)
+    _draw_axes(img, margin)
     counts = np.asarray(counts, dtype=np.float64)
     if len(counts) == 0 or counts.max() <= 0:
         return img

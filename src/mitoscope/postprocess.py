@@ -31,6 +31,7 @@ __all__ = [
     "rank_classes",
     "window_detections",
     "disc_mask",
+    "disc_mean_maps",
 ]
 
 
@@ -109,10 +110,13 @@ def disc_mask(radius: float) -> np.ndarray:
     return (yy ** 2 + xx ** 2 <= radius ** 2).astype(np.float64)
 
 
-def _disc_mean_maps(frames: np.ndarray, lookahead: int, radius: float) -> np.ndarray:
+def disc_mean_maps(frames: np.ndarray, lookahead: int, radius: float) -> np.ndarray:
     """Per-frame maps of the disc-averaged intensity change from t to
     t+lookahead. The divisor is the full disc area; pixels beyond the
-    frame border contribute zero change."""
+    frame border contribute zero change. The last ``lookahead`` maps are
+    zero. Row t depends only on frames t and t+lookahead, so the maps of a
+    spatial window's whole stack, sliced to a subsequence, equal the
+    subsequence's own on every row it can score."""
     t_max = frames.shape[0]
     m = frames.shape[-1]
     disc = disc_mask(radius)[None, None]
@@ -147,7 +151,7 @@ def locate_centroid(sub, patch: PatchSequence, lookahead: int = 2,
     if not usable:
         return None
     if score_maps is None:
-        score_maps = _disc_mean_maps(sub.frames, lookahead, radius)
+        score_maps = disc_mean_maps(sub.frames, lookahead, radius)
     best = None  # ((disc score, point increase), t, px, py)
     for t in sorted({mm[0] for mm in usable}):
         ft = t + frame_offset
@@ -213,13 +217,18 @@ def merge_global(detections, spatial: float = 10.0, temporal: int = 2) -> list:
 
 
 def window_detections(grid, sub, classes, lookahead: int = 2, radius: float = 5.0,
-                      grid_factor: int = 8, frame_offset: int = 0) -> tuple:
+                      grid_factor: int = 8, frame_offset: int = 0,
+                      score_maps: np.ndarray | None = None) -> tuple:
     """Detections of every patch of the given classes in one window's class
     grid, in class then patch order, plus the count of patches skipped as
-    too close to the window end for the lookahead. The disc-mean score maps
-    are computed once per window."""
+    too close to the window end for the lookahead. ``score_maps`` holds the
+    window's disc-mean maps, one per frame of ``sub``: ``detect`` passes
+    its slice of the maps of the window's whole stack, computed once per
+    stack. Without them, the window's own maps are computed here, once,
+    when it has a patch."""
     patches = [patch for c in classes for patch in group_activations(grid, c)]
-    score_maps = _disc_mean_maps(sub.frames, lookahead, radius) if patches else None
+    if patches and score_maps is None:
+        score_maps = disc_mean_maps(sub.frames, lookahead, radius)
     detections = []
     for patch in patches:
         det = locate_centroid(sub, patch, lookahead, radius, grid_factor,

@@ -12,6 +12,7 @@ import pytest
 from mitoscope import cli
 from mitoscope import lanes
 from mitoscope import network as net
+from mitoscope import postprocess as pp
 from mitoscope.data_pipeline import (SyntheticConfig, VideoSource, export_video,
                                      load_annotations, load_frames, read_pgm,
                                      synth_generate)
@@ -440,6 +441,113 @@ class TestDetectWindowPairs:
         for on in (True, False):
             monkeypatch.setattr(lanes, "two_lanes", lambda: on)
             assert self.detect_outputs(desk_clip, frame_range, capsys) == expected, on
+
+
+WIDE_INI = """[data]
+window_size = 64
+window_step = 32
+downsample = 1
+augment = false
+"""
+
+
+@pytest.fixture(scope="module")
+def wide_clip(tmp_path_factory):
+    """A 20-frame 96x96 clip whose 64x64 windows at step 32 overlap in four
+    spatial windows, each with its own stack."""
+    work = tmp_path_factory.mktemp("wide")
+    video, annotations = synth_generate(SyntheticConfig(
+        seed=2, frame_size=96, frame_count=20, division_prob=0.1, blob_count=20,
+        blob_radius=3.0))
+    export_video(video, annotations, work / "frames")
+    (work / "desk.ini").write_text(WIDE_INI)
+    return work
+
+
+class TestDetectStackScoreMaps:
+    def test_outputs_match_per_window_maps(self, wide_clip, capsys, monkeypatch):
+        # a range that does not start at frame 0: 16 frames give 7 sup and 2
+        # unsup windows per stack
+        outputs = TestDetectWindowPairs.detect_outputs
+        window_detections = pp.window_detections
+
+        def own_maps(*args, score_maps=None, **kwargs):
+            """Reference: each window computes its own disc-mean maps."""
+            return window_detections(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pp, "window_detections", own_maps)
+            expected = outputs(self, wide_clip, "3:19", capsys)
+        assert [code for code, _, _ in expected] == [0, 2, 0]
+        assert expected[0][2].count(b"\n") > 1 and expected[2][2].count(b"\n") > 1
+        for on in (True, False):
+            monkeypatch.setattr(lanes, "two_lanes", lambda: on)
+            assert outputs(self, wide_clip, "3:19", capsys) == expected, on
+
+    def test_maps_once_per_stack_and_none_without_patches(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        export_video(VideoSource.from_arrays(
+            rng.integers(0, 256, (8, 64, 64), dtype=np.uint8)), [], tmp_path / "video")
+        config = tmp_path / "four.ini"
+        config.write_text("[data]\nwindow_size = 32\nwindow_step = 32\ndownsample = 1\n")
+        ckpt = tmp_path / "tiny.ckpt"
+        save_checkpoint(init_unsupervised(NetworkConfig(
+            frame_size=32, hidden_channels=2, event_classes=2, encoder_len=2,
+            target_len=3), seed=0), ckpt)
+        class_grid, disc_mean_maps = pp.class_grid, pp.disc_mean_maps
+        # every cell of every window goes to class 0, so class 1 has no patch
+        monkeypatch.setattr(pp, "class_grid",
+                            lambda maps, g: np.zeros_like(class_grid(maps, g)))
+        stacks = []
+        monkeypatch.setattr(pp, "disc_mean_maps",
+                            lambda frames, *a: stacks.append(frames) or
+                            disc_mean_maps(frames, *a))
+        for k, count in (("1", 0), ("0", 4)):
+            stacks.clear()
+            assert run(["detect", "--config", str(config), "--model", str(ckpt),
+                        "--frames", str(tmp_path / "video"), "--division-class", k,
+                        "--out", str(tmp_path / "d.csv")]) == 0
+            assert len(stacks) == count, k
+            assert len({id(f) for f in stacks}) == count
+            assert all(f.shape == (8, 1, 32, 32) for f in stacks)
+
+
+def no_windowing(*args, **kwargs):
+    raise AssertionError("frames were windowed")
+
+
+class TestFrameRanges:
+    @pytest.mark.parametrize("model, frame_range, message", [
+        ("unsup", "0:10", "--range 0:10 has 10 frames; unsup windows need 15 "
+                          "(encoder_len 5 + target_len 10)"),
+        ("sup", "4:13", "--range 4:13 has 9 frames; sup windows need 10 (target_len 10)"),
+        ("unsup", "5:5", "--range 5:5 is empty"),
+        ("sup", "7:3", "--range 7:3 is empty"),
+        ("sup", "15:21", "--range 15:21 outside video of 20 frames"),
+    ])
+    def test_detect_range_usage_errors(self, desk_clip, monkeypatch, capsys, model,
+                                       frame_range, message):
+        monkeypatch.setattr(cli.dp, "build_subsequences", no_windowing)
+        out = desk_clip / "ranges" / "d.csv"
+        code = run(["detect", "--config", str(desk_clip / "desk.ini"), "--model",
+                    str(REPO / "benchmarks" / "fixtures" / f"{model}.ckpt"),
+                    "--frames", str(desk_clip / "frames"), "--range", frame_range,
+                    "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_short_train_range_is_usage_error(self, tmp_path, tiny_config, synth_video,
+                                              monkeypatch, capsys):
+        monkeypatch.setattr(cli.dp, "build_subsequences", no_windowing)
+        ckpt = tmp_path / "short" / "model.ckpt"
+        code = run(["train", "--config", tiny_config, "--frames", str(synth_video),
+                    "--mode", "unsup", "--train-range", "0:4", "--out", str(ckpt)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --train-range 0:4 has 4 frames; unsup windows need 5 "
+            "(encoder_len 2 + target_len 3)\n")
+        assert not ckpt.exists()
 
 
 class TestEvalCommand:

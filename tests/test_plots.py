@@ -40,3 +40,22 @@ def test_bar_chart_heights_scale():
     cols = (img == 0).sum(axis=0)
     heights = sorted(set(cols[cols > 0]))
     assert len(heights) >= 3  # three distinct bar heights
+
+
+def axes_by_draw_line(img, margin):
+    h, w = img.shape
+    plots._draw_line(img, margin, h - margin, w - 8, h - margin, plots._AXIS)
+    plots._draw_line(img, margin, h - margin, margin, 8, plots._AXIS)
+
+
+@pytest.mark.parametrize("width, height", [(640, 400), (100, 50), (33, 20)])
+def test_axes_slices_match_draw_line(width, height, monkeypatch):
+    charts = [(plots.render_line_chart, [3.0, 1.0, 2.0, 0.5]),
+              (plots.render_line_chart, []),
+              (plots.render_bar_chart, [1, 4, 2]),
+              (plots.render_bar_chart, [])]
+    images = [render(values, width, height) for render, values in charts]
+    monkeypatch.setattr(plots, "_draw_axes", axes_by_draw_line)
+    for (render, values), img in zip(charts, images):
+        np.testing.assert_array_equal(img, render(values, width, height))
+    assert (images[1] == plots._AXIS).any()

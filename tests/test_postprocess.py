@@ -6,7 +6,7 @@ import pytest
 
 from mitoscope import network as net
 from mitoscope import postprocess as pp
-from mitoscope.data_pipeline import Subsequence
+from mitoscope.data_pipeline import Subsequence, VideoSource, build_subsequences
 
 
 def make_grid(t, active, background=2, blocks=2):
@@ -299,6 +299,36 @@ class TestWindowDetections:
 
     def test_no_patches_no_detections(self):
         assert pp.window_detections(make_grid(3, []), flat_sub(3), [0, 1]) == ([], 0)
+
+
+class TestStackScoreMaps:
+    # ``detect`` computes the disc-mean maps once over each spatial window's
+    # stack and hands every window its slice
+    @pytest.mark.parametrize("lookahead", [1, 2])
+    def test_stack_slice_equals_window_maps(self, lookahead):
+        rng = np.random.default_rng(lookahead)
+        video = VideoSource.from_arrays(rng.integers(0, 256, (13, 48, 48), dtype=np.uint8))
+        lo, length, enc = 3, 6, 1
+        subs = build_subsequences(video, frame_range=(lo, 13), window_size=32,
+                                  window_step=16, downsample=2, length=length)
+        assert len(subs) == 4 * 5  # four stacks, five starts each
+        stack_maps = {}
+        for sub in subs:
+            stack = sub.frames.base
+            if id(stack) not in stack_maps:
+                stack_maps[id(stack)] = pp.disc_mean_maps(stack, lookahead, 5.0)
+            start = sub.t0 - lo
+            np.testing.assert_array_equal(stack[start:start + length], sub.frames)
+            sliced = stack_maps[id(stack)][start:start + length]
+            own = pp.disc_mean_maps(sub.frames, lookahead, 5.0)
+            read = length - lookahead  # locate_centroid reads rows t < T - lookahead
+            assert np.array_equal(sliced[:read], own[:read]), (sub.x0, sub.y0, start)
+            grid = pp.class_grid(wta_maps(rng, t=length - enc, n=3, m=16), 8)
+            assert (pp.window_detections(grid, sub, range(3), lookahead, frame_offset=enc,
+                                         score_maps=sliced)
+                    == pp.window_detections(grid, sub, range(3), lookahead,
+                                            frame_offset=enc))
+        assert len(stack_maps) == 4
 
 
 # ---------------------------------------------------------------------------
