@@ -11,12 +11,11 @@ Subcommands wire the library into reproducible runs:
 Every command echoes its effective configuration to an ``effective_config.ini``
 next to its outputs, and is deterministic given config + seed. The env var
 ``MITOSCOPE_SEED`` overrides the config seeds. ``detect`` runs its windows
-through ``network.window_maps``, two at a time where the machine has two
-lanes, and reduces them in window order, so its outputs are the same
-either way. The unsupervised brightness-rise score maps are computed once
-per spatial window, over the stack its windows are views of, and each
-window reads its slice. A frame range that is empty, outside the video or
-shorter than one window is a usage error.
+through ``network.window_maps``, two at a time, and reduces them in window
+order. The unsupervised brightness-rise score maps are computed once per
+spatial window, over the stack its windows are views of, and each window
+with a patch of the classes asked for reads its slice. A frame range that
+is empty, outside the video or shorter than one window is a usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -62,22 +60,6 @@ class DataConfig:
         dp.check_windowing(self.window_size, self.window_step, self.downsample)
 
 
-def _finite_nonneg(value) -> bool:
-    return 0 <= value < math.inf
-
-
-_NONNEG = (_finite_nonneg, "finite and >= 0")
-
-
-def _check_fields(cfg, rules: dict) -> None:
-    """Raise ValueError naming the first field of ``cfg`` that breaks its
-    rule; ``rules`` maps a field name to (test, wording)."""
-    for name, (ok, wording) in rules.items():
-        value = getattr(cfg, name)
-        if not ok(value):
-            raise ValueError(f"{name} must be {wording}, got {value}")
-
-
 @dataclass
 class PostprocessConfig:
     lookahead: int = 2
@@ -87,11 +69,11 @@ class PostprocessConfig:
     merge_temporal: int = 2
 
     def __post_init__(self):
-        _check_fields(self, {"lookahead": (lambda v: v >= 1, ">= 1"),
-                             "disc_radius": _NONNEG,
-                             "threshold": (lambda v: 0 < v < 1, "in (0,1)"),
-                             "merge_spatial": _NONNEG,
-                             "merge_temporal": _NONNEG})
+        dp.check_fields(self, {"lookahead": (lambda v: v >= 1, ">= 1"),
+                                "disc_radius": dp.FINITE_NONNEG,
+                                "threshold": (lambda v: 0 < v < 1, "in (0,1)"),
+                                "merge_spatial": dp.FINITE_NONNEG,
+                                "merge_temporal": dp.FINITE_NONNEG})
 
 
 @dataclass
@@ -99,7 +81,7 @@ class EvalConfig:
     spatial_th: float = 10.0
 
     def __post_init__(self):
-        _check_fields(self, {"spatial_th": _NONNEG})
+        dp.check_fields(self, {"spatial_th": dp.FINITE_NONNEG})
 
 
 @dataclass
@@ -335,15 +317,15 @@ def cmd_detect(args) -> int:
     post = cfg.postprocess
     subs = _build_dataset(cfg, video, frame_range, mode, augmented=False)
 
-    # Windows run in pairs where there are two lanes, so two windows' maps
-    # are live at once. Each window's maps are reduced in window order as
-    # they come and dropped when the next window's replace them. Dropped any
-    # sooner, the heap is trimmed between windows and each forward re-faults
-    # its scratch (unsup desk: 10x faults).
-    # The disc-mean score maps are computed once per spatial window, over
-    # the stack its subsequences are views of, the first time one of its
-    # windows has a patch of the classes asked for; each window reads its
-    # slice of them. They are dropped when the next stack starts.
+    # Windows run in pairs, so two windows' maps are live at once. Each
+    # window's maps are reduced in window order as they come and dropped
+    # when the next window's replace them. Dropped any sooner, the heap is
+    # trimmed between windows and each forward re-faults its scratch
+    # (unsup desk: 10x faults).
+    # A window with no patch of the classes asked for is skipped. The
+    # disc-mean score maps are computed once per spatial window, over the
+    # stack its subsequences are views of, when the first of its windows
+    # with a patch arrives; each window reads its slice of them.
     enc, g = cfg.network.encoder_len, cfg.network.grid_factor
     classes = range(n) if k is None else [k]
     first = 0 if mode == "sup" else enc
@@ -355,15 +337,15 @@ def cmd_detect(args) -> int:
             detections += pp.threshold_detections(maps, sub, post.threshold)
             continue
         grid = pp.class_grid(maps, g)
+        if not np.isin(grid, classes).any():
+            continue
         if sub.frames.base is not stack:
-            stack, stack_maps = sub.frames.base, None
-        if stack_maps is None and np.isin(grid, classes).any():
+            stack = sub.frames.base
             stack_maps = pp.disc_mean_maps(stack, post.lookahead, post.disc_radius)
         start = sub.t0 - frame_range[0]
-        score_maps = None if stack_maps is None else stack_maps[start:start + len(sub.frames)]
-        dets, skips = pp.window_detections(grid, sub, classes, post.lookahead,
-                                           post.disc_radius, g, frame_offset=enc,
-                                           score_maps=score_maps)
+        dets, skips = pp.window_detections(grid, sub, classes,
+                                           stack_maps[start:start + len(sub.frames)],
+                                           post.lookahead, g, frame_offset=enc)
         detections += dets
         skipped += skips
 

@@ -17,6 +17,7 @@ number of temporal starts and augmentations.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,8 @@ __all__ = [
     "temporal_windows",
     "block_mean",
     "check_windowing",
+    "check_fields",
+    "FINITE_NONNEG",
     "transform_frames",
     "transform_point",
     "invert_transform",
@@ -332,6 +335,18 @@ def check_windowing(window_size: int, window_step: int, downsample: int,
                          f"downsample {downsample}")
 
 
+def check_fields(cfg, rules: dict) -> None:
+    """Raise ValueError naming the first field of ``cfg`` that breaks its
+    rule; ``rules`` maps a field name to (test, wording)."""
+    for name, (ok, wording) in rules.items():
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {wording}, got {value}")
+
+
+FINITE_NONNEG = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+
+
 def build_subsequences(video: VideoSource, frame_range=None, window_size: int = 256,
                        window_step: int = 128, downsample: int = 4, length: int = 15,
                        temporal_step: int = 1, augmented: bool = False) -> list:
@@ -450,8 +465,19 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.division_prob <= 1.0):
-            raise ValueError(f"division_prob must be in [0,1], got {self.division_prob}")
+        check_fields(self, {"frame_count": (lambda v: v >= 1, ">= 1"),
+                            "blob_count": (lambda v: v >= 0, ">= 0"),
+                            "blob_radius": (lambda v: 0 < v < math.inf, "finite and > 0"),
+                            "drift_speed": FINITE_NONNEG,
+                            "division_prob": (lambda v: 0 <= v <= 1, "in [0,1]")})
+        low = math.ceil(2 * self.margin) + 1  # room for a blob centre between the margins
+        check_fields(self, {"frame_size": (lambda v: v >= low,
+                                           f">= {low} for blob_radius {self.blob_radius}")})
+
+    @property
+    def margin(self) -> float:
+        """How far blob centres stay from the frame edge."""
+        return max(4.0, 2.0 * self.blob_radius)
 
 
 @dataclass
@@ -497,7 +523,7 @@ def synth_generate(cfg: SyntheticConfig):
     """
     rng = np.random.default_rng(cfg.seed)
     size = cfg.frame_size
-    margin = max(4.0, 2.0 * cfg.blob_radius)
+    margin = cfg.margin
     sigma = cfg.blob_radius / 1.6
     split_dist = 1.5 * cfg.blob_radius
     base, peak = cfg.brightness_base, cfg.brightness_peak

@@ -10,9 +10,9 @@ after the other on the caller. So no more than two lanes run at once.
 Callers hand ``both`` parts that share nothing but read-only inputs and
 write disjoint parts of arrays the caller allocated, each part doing the
 same operations in the same order on either thread, so results are
-bit-identical whether the lanes run or not. ``network`` runs the event
-branch's two readers and ``detect``'s window pairs on them;
-``tensor_core`` runs each stage of a Winograd convolution as two halves.
+bit-identical whether the lanes run or not. No caller reads the lane rule:
+``network`` runs the event branch's two readers and ``detect``'s window
+pairs on ``both``, ``tensor_core`` each stage of a Winograd convolution.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-__all__ = ["openblas_threads", "two_lanes", "helper_lane", "both"]
+__all__ = ["openblas_threads", "two_lanes", "both"]
 
 _OPENBLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                          "openblas_get_num_threads")
@@ -73,7 +73,7 @@ def _in_lane(fn):
 _helper = None  # (pid, one-worker pool) of this process's helper thread
 
 
-def helper_lane() -> ThreadPoolExecutor:
+def _helper_lane() -> ThreadPoolExecutor:
     """The process's one helper thread. One thread for the process's life
     allocates from one malloc arena; a thread per call could start before
     the last one had let go of its arena and take a new one, about 25 MiB
@@ -94,7 +94,7 @@ def both(first, second):
     ``second`` has finished."""
     if getattr(_lane, "busy", False) or not two_lanes():
         return first(), second()
-    pending = helper_lane().submit(_in_lane, second)
+    pending = _helper_lane().submit(_in_lane, second)
     try:
         result = _in_lane(first)
     finally:

@@ -8,9 +8,7 @@ Event maps are [n,M,M] float arrays: block-constant per grid cell, exactly
 one active class per cell, values in (0,1].
 
 Work that shares nothing runs on the two lanes of ``lanes``, the caller and
-a helper thread, when each lane's BLAS threads have cores of their own
-(numpy's OpenBLAS on one thread on two cores, as the benchmark pins it);
-with OpenBLAS at its default of one thread per core it runs one part after
+a helper thread; ``lanes`` decides whether they run at once or one after
 the other. In training the two lanes take the event branch's two readers,
 whose unrolls, and later their BPTTs, share nothing until the merge. In
 ``detect`` (``window_maps``) they take two whole windows. Inside a lane
@@ -31,7 +29,7 @@ the event head or output convolutions run on each merged state as it comes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -87,16 +85,7 @@ class NetworkConfig:
             raise ValueError("kernel sizes must be odd")
 
     def as_dict(self) -> dict:
-        return {
-            "frame_size": self.frame_size,
-            "hidden_channels": self.hidden_channels,
-            "event_classes": self.event_classes,
-            "encoder_len": self.encoder_len,
-            "target_len": self.target_len,
-            "grid_factor": self.grid_factor,
-            "conv_kernel": self.conv_kernel,
-            "cnn1_kernel": self.cnn1_kernel,
-        }
+        return asdict(self)
 
 
 # checkpoint blob names of the plain conv arrays
@@ -524,18 +513,14 @@ def supervised_maps(model: SupervisedModel, frames) -> list:
 def window_maps(model, windows):
     """Yield the maps of each window in window order: ``supervised_maps``
     of a supervised model's windows, ``detect_events`` of an unsupervised
-    model's target frames. When ``lanes.two_lanes()`` holds, windows run two at a
-    time, the second of each pair on the helper thread; an error in either
-    reaches the caller once both have finished. Otherwise they run one at a
-    time."""
+    model's target frames. Windows run in pairs through ``lanes.both``, the
+    second of each pair on the helper thread where there are two lanes; an
+    error in either reaches the caller once both have finished."""
     def maps_of(frames):  # looked up per call, so a rebound function is seen
         if model.kind == "supervised":
             return supervised_maps(model, frames)
         return detect_events(model, frames)
 
-    if not lanes.two_lanes():
-        yield from map(maps_of, windows)
-        return
     windows = iter(windows)
     for first in windows:
         second = next(windows, None)

@@ -129,17 +129,17 @@ def disc_mean_maps(frames: np.ndarray, lookahead: int, radius: float) -> np.ndar
     return maps
 
 
-def locate_centroid(sub, patch: PatchSequence, lookahead: int = 2,
-                    radius: float = 5.0, grid_factor: int = 8,
-                    frame_offset: int = 0,
-                    score_maps: np.ndarray | None = None):
+def locate_centroid(sub, patch: PatchSequence, score_maps: np.ndarray, lookahead: int = 2,
+                    grid_factor: int = 8, frame_offset: int = 0):
     """Detection for one patch: the (pixel, frame) inside the patch's
     blocks with the highest disc-mean intensity rise after ``lookahead``
-    frames, mapped to original coordinates. ``frame_offset`` aligns patch
-    frame indices (relative to the event maps) with the subsequence frames
-    when the subsequence carries leading context frames. Frames too close
-    to the end for the lookahead are not scored; returns None when no
-    member frame can be scored (the caller counts those skips).
+    frames, mapped to original coordinates. ``score_maps`` holds those
+    rises, one map per frame of ``sub`` (``disc_mean_maps``).
+    ``frame_offset`` aligns patch frame indices (relative to the event
+    maps) with the subsequence frames when the subsequence carries leading
+    context frames. Frames too close to the end for the lookahead are not
+    scored; returns None when no member frame can be scored (the caller
+    counts those skips).
 
     Equal disc scores resolve by the larger intensity increase at the
     pixel itself (a lone brightening pixel beats its neighbours), then the
@@ -150,8 +150,6 @@ def locate_centroid(sub, patch: PatchSequence, lookahead: int = 2,
     usable = [mm for mm in patch.members if mm[0] + frame_offset + lookahead < t_max]
     if not usable:
         return None
-    if score_maps is None:
-        score_maps = disc_mean_maps(sub.frames, lookahead, radius)
     best = None  # ((disc score, point increase), t, px, py)
     for t in sorted({mm[0] for mm in usable}):
         ft = t + frame_offset
@@ -216,23 +214,18 @@ def merge_global(detections, spatial: float = 10.0, temporal: int = 2) -> list:
     return seeds
 
 
-def window_detections(grid, sub, classes, lookahead: int = 2, radius: float = 5.0,
-                      grid_factor: int = 8, frame_offset: int = 0,
-                      score_maps: np.ndarray | None = None) -> tuple:
+def window_detections(grid, sub, classes, score_maps: np.ndarray, lookahead: int = 2,
+                      grid_factor: int = 8, frame_offset: int = 0) -> tuple:
     """Detections of every patch of the given classes in one window's class
     grid, in class then patch order, plus the count of patches skipped as
     too close to the window end for the lookahead. ``score_maps`` holds the
     window's disc-mean maps, one per frame of ``sub``: ``detect`` passes
     its slice of the maps of the window's whole stack, computed once per
-    stack. Without them, the window's own maps are computed here, once,
-    when it has a patch."""
+    stack."""
     patches = [patch for c in classes for patch in group_activations(grid, c)]
-    if patches and score_maps is None:
-        score_maps = disc_mean_maps(sub.frames, lookahead, radius)
     detections = []
     for patch in patches:
-        det = locate_centroid(sub, patch, lookahead, radius, grid_factor,
-                              frame_offset=frame_offset, score_maps=score_maps)
+        det = locate_centroid(sub, patch, score_maps, lookahead, grid_factor, frame_offset)
         if det is not None:
             detections.append(det)
     return detections, len(patches) - len(detections)

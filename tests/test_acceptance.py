@@ -338,20 +338,22 @@ def test_criterion_7_unsupervised_end_to_end(synth_video):
     det_subs = dp.build_subsequences(video, window_size=64, window_step=64,
                                      downsample=1, length=15)
     # the CLI's two runs: rank every class, then detect the top one
-    grids, raw = [], []
+    # each window's own score maps, not the CLI's slices of a stack's maps
+    grids, score_maps, raw = [], [], []
     for sub in det_subs:
         maps = net.detect_events(model, list(sub.frames[cfg.encoder_len:]))
         for y in maps:
             assert net.event_map_ok(y, cfg.grid_factor)
         grids.append(pp.class_grid(maps, cfg.grid_factor))
-        raw += pp.window_detections(grids[-1], sub, range(cfg.event_classes),
+        score_maps.append(pp.disc_mean_maps(sub.frames, 2, 5.0))
+        raw += pp.window_detections(grids[-1], sub, range(cfg.event_classes), score_maps[-1],
                                     grid_factor=cfg.grid_factor,
                                     frame_offset=cfg.encoder_len)[0]
 
     top_class = pp.rank_classes(raw)[0][0]
     detections = []
-    for grid, sub in zip(grids, det_subs):
-        detections += pp.window_detections(grid, sub, [top_class],
+    for grid, sub, sub_maps in zip(grids, det_subs, score_maps):
+        detections += pp.window_detections(grid, sub, [top_class], sub_maps,
                                            grid_factor=cfg.grid_factor,
                                            frame_offset=cfg.encoder_len)[0]
     merged = pp.merge_global(detections, 10.0, 2)

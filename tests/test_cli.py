@@ -139,6 +139,21 @@ class TestRunConfig:
                            match=rf"bad\.ini: bad \[{section}\] section: {message}"):
             cli.load_run_config(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("frame_count = 0", "frame_count must be >= 1, got 0"),
+        ("blob_count = -2", "blob_count must be >= 0, got -2"),
+        ("blob_radius = 0", "blob_radius must be finite and > 0, got 0.0"),
+        ("blob_radius = nan", "blob_radius must be finite and > 0, got nan"),
+        ("drift_speed = -1", "drift_speed must be finite and >= 0, got -1.0"),
+        ("drift_speed = inf", "drift_speed must be finite and >= 0, got inf"),
+        ("frame_size = 16", "frame_size must be >= 17 for blob_radius 4.0, got 16"),
+    ])
+    def test_synth_values_checked(self, tmp_path, line, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[synth]\n{line}\n")
+        with pytest.raises(cli.UsageError, match=rf"bad\.ini: bad \[synth\] section: {message}"):
+            cli.load_run_config(path)
+
     def test_postprocess_and_evaluation_bounds_accepted(self, tmp_path):
         path = tmp_path / "edge.ini"
         path.write_text("[postprocess]\nlookahead = 1\ndisc_radius = 0\nmerge_spatial = 0\n"
@@ -210,6 +225,14 @@ class TestSynthCommand:
         out = tmp_path / "video"
         assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
         assert load_annotations(out / "annotations.csv") == []
+
+    def test_bad_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("[synth]\nframe_count = 0\n")
+        out = tmp_path / "video"
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "frame_count must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_frame_contract(self, tmp_path, tiny_config):
         out = tmp_path / "video"
@@ -471,9 +494,10 @@ class TestDetectStackScoreMaps:
         outputs = TestDetectWindowPairs.detect_outputs
         window_detections = pp.window_detections
 
-        def own_maps(*args, score_maps=None, **kwargs):
+        def own_maps(grid, sub, classes, score_maps, lookahead, *args, **kwargs):
             """Reference: each window computes its own disc-mean maps."""
-            return window_detections(*args, **kwargs)
+            maps = pp.disc_mean_maps(sub.frames, lookahead, cli.PostprocessConfig().disc_radius)
+            return window_detections(grid, sub, classes, maps, lookahead, *args, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(pp, "window_detections", own_maps)

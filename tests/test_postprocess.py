@@ -138,7 +138,7 @@ class TestLocateCentroid:
         sub = flat_sub()
         sub.frames[4, 0, 10, 10] = 0.9  # rises from 0.3 between frames 2 and 4
         patch = pp.PatchSequence(0, [(2, 1, 1)])
-        det = pp.locate_centroid(sub, patch, lookahead=2, radius=5.0)
+        det = pp.locate_centroid(sub, patch, pp.disc_mean_maps(sub.frames, 2, 5.0), lookahead=2)
         assert (det.frame, det.x, det.y) == (2, 10, 10)
         assert det.score == pytest.approx(
             disc_mean_oracle(sub.frames, 2, 10, 10, 2, 5.0))
@@ -146,7 +146,7 @@ class TestLocateCentroid:
     def test_static_frames_tie_rule(self):
         sub = flat_sub()
         patch = pp.PatchSequence(0, [(1, 1, 1), (2, 1, 1)])
-        det = pp.locate_centroid(sub, patch)
+        det = pp.locate_centroid(sub, patch, pp.disc_mean_maps(sub.frames, 2, 5.0))
         # all scores zero: earliest frame, first pixel of the block
         assert (det.frame, det.x, det.y) == (1, 8, 8)
         assert det.score == 0.0
@@ -157,7 +157,7 @@ class TestLocateCentroid:
             frames = rng.uniform(0, 1, (5, 1, 16, 16))
             sub = Subsequence(frames, 0, 0, 0)
             patch = pp.PatchSequence(1, [(0, 0, 0), (0, 0, 1), (1, 0, 0), (2, 1, 1)])
-            det = pp.locate_centroid(sub, patch)
+            det = pp.locate_centroid(sub, patch, pp.disc_mean_maps(sub.frames, 2, 5.0))
             oracle = locate_oracle(sub, patch, 2, 5.0)
             assert (det.frame, det.x, det.y) == (oracle.frame, oracle.x, oracle.y)
             assert det.score == pytest.approx(oracle.score, abs=1e-12)
@@ -166,7 +166,7 @@ class TestLocateCentroid:
         sub = flat_sub()
         sub.frames[3, 0, 8, 7] = 0.95  # peak just left of the block boundary
         patch = pp.PatchSequence(0, [(1, 1, 0), (1, 1, 1)])
-        det = pp.locate_centroid(sub, patch)
+        det = pp.locate_centroid(sub, patch, pp.disc_mean_maps(sub.frames, 2, 5.0))
         oracle = locate_oracle(sub, patch, 2, 5.0)
         assert (det.frame, det.x, det.y) == (oracle.frame, oracle.x, oracle.y)
 
@@ -175,20 +175,22 @@ class TestLocateCentroid:
         sub = flat_sub(t=6)
         sub.frames[4, 0, 10, 10] = 0.9
         patch = pp.PatchSequence(0, [(0, 1, 1)])  # map index 0 = frame 2
-        det = pp.locate_centroid(sub, patch, frame_offset=2)
+        det = pp.locate_centroid(sub, patch, pp.disc_mean_maps(sub.frames, 2, 5.0),
+                                 frame_offset=2)
         assert (det.frame, det.x, det.y) == (2, 10, 10)
 
     def test_unscorable_patch_skipped(self):
         sub = flat_sub(t=4)
         patch = pp.PatchSequence(0, [(3, 0, 0)])  # no lookahead room
-        assert pp.locate_centroid(sub, patch, lookahead=2) is None
+        assert pp.locate_centroid(sub, patch, pp.disc_mean_maps(sub.frames, 2, 5.0),
+                                  lookahead=2) is None
 
     def test_provenance_mapping(self):
         frames = np.full((5, 1, 16, 16), 0.2)
         frames[3, 0, 5, 6] = 0.9
         sub = Subsequence(frames, x0=128, y0=64, t0=40, scale=4)
         patch = pp.PatchSequence(2, [(1, 0, 0)])
-        det = pp.locate_centroid(sub, patch)
+        det = pp.locate_centroid(sub, patch, pp.disc_mean_maps(sub.frames, 2, 5.0))
         assert det.frame == 41
         assert det.x == 128 + 4 * 6 + 2
         assert det.y == 64 + 4 * 5 + 2
@@ -285,12 +287,13 @@ class TestWindowDetections:
         grid = pp.class_grid(wta_maps(rng, t=4, n=4), 8)
         grid[-1, 0, 0] = 4  # a patch in the last frame: no lookahead, skipped
         sub = Subsequence(rng.uniform(0.1, 0.9, (6, 1, 32, 32)), 0, 0, 0)
-        every, skipped = pp.window_detections(grid, sub, range(5), frame_offset=2)
+        maps = pp.disc_mean_maps(sub.frames, 2, 5.0)
+        every, skipped = pp.window_detections(grid, sub, range(5), maps, frame_offset=2)
         total_skipped = 0
         for k in range(5):
-            dets, skips = pp.window_detections(grid, sub, [k], frame_offset=2)
+            dets, skips = pp.window_detections(grid, sub, [k], maps, frame_offset=2)
             assert dets == [d for d in every if d.class_id == k]
-            located = [pp.locate_centroid(sub, patch, frame_offset=2)
+            located = [pp.locate_centroid(sub, patch, maps, frame_offset=2)
                        for patch in pp.group_activations(grid, k)]
             assert dets == [d for d in located if d is not None]
             assert skips == located.count(None)
@@ -298,7 +301,9 @@ class TestWindowDetections:
         assert skipped == total_skipped > 0
 
     def test_no_patches_no_detections(self):
-        assert pp.window_detections(make_grid(3, []), flat_sub(3), [0, 1]) == ([], 0)
+        sub = flat_sub(3)
+        maps = pp.disc_mean_maps(sub.frames, 2, 5.0)
+        assert pp.window_detections(make_grid(3, []), sub, [0, 1], maps) == ([], 0)
 
 
 class TestStackScoreMaps:
@@ -324,9 +329,9 @@ class TestStackScoreMaps:
             read = length - lookahead  # locate_centroid reads rows t < T - lookahead
             assert np.array_equal(sliced[:read], own[:read]), (sub.x0, sub.y0, start)
             grid = pp.class_grid(wta_maps(rng, t=length - enc, n=3, m=16), 8)
-            assert (pp.window_detections(grid, sub, range(3), lookahead, frame_offset=enc,
-                                         score_maps=sliced)
-                    == pp.window_detections(grid, sub, range(3), lookahead,
+            assert (pp.window_detections(grid, sub, range(3), sliced, lookahead,
+                                         frame_offset=enc)
+                    == pp.window_detections(grid, sub, range(3), own, lookahead,
                                             frame_offset=enc))
         assert len(stack_maps) == 4
 
@@ -341,7 +346,8 @@ class TestRankClasses:
         sub = flat_sub(t=6, m=16)
         sub.frames[4, 0, 4, 4] = 0.95
         grid = make_grid(6, [(2, 1, 0, 0)] + [(t, 0, 1, 1) for t in range(6)])
-        ranking = pp.rank_classes(pp.window_detections(grid, sub, [0, 1])[0])
+        maps = pp.disc_mean_maps(sub.frames, 2, 5.0)
+        ranking = pp.rank_classes(pp.window_detections(grid, sub, [0, 1], maps)[0])
         assert ranking[0][0] == 1
         assert ranking[0][1] > ranking[1][1]
 

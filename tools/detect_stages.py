@@ -20,8 +20,7 @@ Stages are timed on the calling thread, each without the stages it calls:
   wait for a pair's helper-lane window included;
 * ``window_detections``: ``postprocess.class_grid`` with
   ``window_detections`` (unsup), ``threshold_detections`` (sup);
-* ``disc_maps``: the disc-mean score maps (``disc_mean_maps``, or
-  ``_disc_mean_maps`` where the side still has that name);
+* ``disc_maps``: the disc-mean score maps (``disc_mean_maps``);
 * ``eval``: ``cli.cmd_eval``;
 * ``other``: the rest of the rep (config, windowing, merge, CSV writes).
 
@@ -120,8 +119,7 @@ def worker(checkout: Path, reps: int) -> dict:
     stages.wrap_generator(net, "window_maps", "window_maps")
     for name in ("class_grid", "window_detections", "threshold_detections"):
         stages.wrap(pp, name, "window_detections")
-    stages.wrap(pp, "disc_mean_maps" if hasattr(pp, "disc_mean_maps") else "_disc_mean_maps",
-                "disc_maps")
+    stages.wrap(pp, "disc_mean_maps", "disc_maps")
     stages.wrap(cli, "cmd_eval", "eval")
 
     def main(*argv) -> tuple:
