@@ -49,6 +49,6 @@ from .postprocess import (
     rank_classes,
     threshold_detections,
 )
-from .training import OptState, TrainConfig, rmsprop_step, train
+from .training import TrainConfig, rmsprop_step, train
 
 __version__ = "0.1.0"

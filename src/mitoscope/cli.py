@@ -103,9 +103,7 @@ def _parse_value(raw: str, default):
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    if default is None or isinstance(default, float):
-        if raw == "" and default is None:
-            return None
+    if isinstance(default, float):
         return float(raw)
     if isinstance(default, int):
         return int(raw)
@@ -152,8 +150,7 @@ def format_run_config(cfg: RunConfig) -> str:
         section = getattr(cfg, f.name)
         lines.append(f"[{f.name}]")
         for sf in fields(section):
-            value = getattr(section, sf.name)
-            lines.append(f"{sf.name} = {'' if value is None else value}")
+            lines.append(f"{sf.name} = {getattr(section, sf.name)}")
         lines.append("")
     return "\n".join(lines)
 

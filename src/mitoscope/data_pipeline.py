@@ -381,9 +381,7 @@ def build_subsequences(video: VideoSource, frame_range=None, window_size: int = 
     return subs
 
 
-def attach_targets(subs, annotations, target_offset: int,
-                   background: float = 0.1, ring_value: float = 0.6,
-                   core_value: float = 1.0) -> None:
+def attach_targets(subs, annotations, target_offset: int) -> None:
     """Build supervised target maps on each subsequence from annotations in
     original coordinates. ``target_offset`` is the index of the first
     target frame within the subsequence."""
@@ -402,8 +400,7 @@ def attach_targets(subs, annotations, target_offset: int,
                 continue
             mx, my = sub.to_model(x, y)
             points.append((j, mx, my))
-        sub.targets = build_supervised_target(points, m, length, background,
-                                              ring_value, core_value)
+        sub.targets = build_supervised_target(points, m, length)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +457,6 @@ class SyntheticConfig:
     division_prob: float = 0.05
     brightness_base: float = 0.4
     brightness_peak: float = 0.9
-    brightness_delta: float = 0.15  # guaranteed midpoint rise over the split
     background: float = 0.03
     seed: int = 0
 
@@ -517,9 +513,9 @@ def synth_generate(cfg: SyntheticConfig):
     """Gaussian blobs on seeded random walks. A division elongates a blob
     while its brightness rises over two frames to a shrunken peak, then the
     blob splits into two bright daughters. The annotation is the first
-    frame with both daughters apart (the split frame), so intensity at the
-    annotated midpoint rises by at least ``brightness_delta`` between two
-    frames before the annotation and the annotation itself.
+    frame with both daughters apart (the split frame), so at the default
+    brightness levels intensity at the annotated midpoint rises by at least
+    0.15 between two frames before the annotation and the annotation itself.
     """
     rng = np.random.default_rng(cfg.seed)
     size = cfg.frame_size

@@ -84,9 +84,6 @@ class NetworkConfig:
         if self.conv_kernel % 2 == 0 or self.cnn1_kernel % 2 == 0:
             raise ValueError("kernel sizes must be odd")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 # checkpoint blob names of the plain conv arrays
 _BLOB_NAMES = {"event_proj_w": "event_proj.w", "event_proj_b": "event_proj.b",
@@ -560,15 +557,17 @@ def backward_supervised(model: SupervisedModel, out: SupervisedOutput) -> Superv
                            *_event_branch_backward(model, tr.branch, d_hidden), *d_convs)
 
 
-def build_supervised_target(points, frame_size: int, length: int,
-                            background: float = 0.1, ring_value: float = 0.6,
-                            core_value: float = 1.0, ring_size: int = 20,
-                            core_size: int = 7) -> list:
+# supervised target values, and the square sizes around a point in model pixels
+TARGET_BACKGROUND, TARGET_RING_VALUE, TARGET_CORE_VALUE = 0.1, 0.6, 1.0
+TARGET_RING_SIZE, TARGET_CORE_SIZE = 20, 7
+
+
+def build_supervised_target(points, frame_size: int, length: int) -> list:
     """Training targets from annotated (frame, x, y) points: a large square
-    of ring_value and a small square of core_value around each point, max
-    over overlaps, squares clipped at the frame border."""
+    of TARGET_RING_VALUE and a small square of TARGET_CORE_VALUE around each
+    point, max over overlaps, squares clipped at the frame border."""
     m = frame_size
-    maps = [np.full((1, m, m), background) for _ in range(length)]
+    maps = [np.full((1, m, m), TARGET_BACKGROUND) for _ in range(length)]
 
     def paint(arr, cx, cy, size, value):
         half = (size - 1) // 2
@@ -582,10 +581,10 @@ def build_supervised_target(points, frame_size: int, length: int,
             raise ValueError(f"build_supervised_target: point ({x},{y}) outside {m}x{m} frame")
         if not (0 <= f < length):
             continue
-        paint(maps[f], x, y, ring_size, ring_value)
+        paint(maps[f], x, y, TARGET_RING_SIZE, TARGET_RING_VALUE)
     for f, x, y in points:
         if 0 <= f < length:
-            paint(maps[f], x, y, core_size, core_value)
+            paint(maps[f], x, y, TARGET_CORE_SIZE, TARGET_CORE_VALUE)
     return maps
 
 
@@ -623,7 +622,7 @@ def save_checkpoint(model, path):
     """Binary layout: magic line, key=value config lines, a blank line, then
     one blob per parameter (u32 name length, name, u32 ndim, u32 dims,
     little-endian float64 data)."""
-    cfg = model.config.as_dict()
+    cfg = asdict(model.config)
     cfg["kind"] = model.kind
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -686,7 +685,7 @@ def _read_checkpoint(fh, expect: NetworkConfig | None):
     kind = cfg_items.pop("kind", None)
     if kind not in ("unsupervised", "supervised"):
         raise CheckpointError(f"unknown checkpoint kind: {kind!r}")
-    known = NetworkConfig().as_dict()
+    known = asdict(NetworkConfig())
     unknown = set(cfg_items) - set(known)
     if unknown:
         raise CheckpointError(f"unknown config keys: {sorted(unknown)}")

@@ -1,6 +1,7 @@
 """CLI tests on desk-scale configs: determinism, artifact contracts,
 usage errors, and the external file formats."""
 
+import configparser
 import csv
 import re
 import tracemalloc
@@ -166,6 +167,22 @@ class TestRunConfig:
         assert paths
         for rel in sorted(paths):
             cli.load_run_config(REPO / rel)
+
+    def test_example_config_is_every_default(self):
+        # the file documents every key with its default: a key added or
+        # removed later must be added to or removed from it too
+        path = REPO / "configs" / "example.ini"
+        cfg = cli.load_run_config(path)
+        assert cfg == cli.RunConfig()
+
+        def keys(parser):
+            return {name: set(parser[name]) for name in parser.sections()}
+
+        listed, echoed = (configparser.ConfigParser(inline_comment_prefixes=("#",))
+                          for _ in range(2))
+        listed.read(path)
+        echoed.read_string(cli.format_run_config(cfg))
+        assert keys(listed) == keys(echoed)
 
     def test_canonical_echo_roundtrip(self, tmp_path, tiny_config):
         cfg = cli.load_run_config(tiny_config)

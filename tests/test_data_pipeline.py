@@ -319,7 +319,7 @@ class TestSynth:
         for f, x, y in anns:
             now = dp.rescale_unit(video.frames[f])[y, x]
             before = dp.rescale_unit(video.frames[f - 2])[y, x]
-            assert now - before >= cfg.brightness_delta, (f, x, y)
+            assert now - before >= 0.15, (f, x, y)
 
     def test_annotations_inside_frame(self):
         cfg = dp.SyntheticConfig(seed=2, division_prob=0.1, blob_count=10,

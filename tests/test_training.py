@@ -17,46 +17,45 @@ def single_param(value):
 class TestRmspropStep:
     def test_zero_gradient_decays_accumulator_only(self):
         params = single_param(0.7)
-        opt = tr.OptState.for_params(params.items())
-        opt.acc["w"][:] = 1.0
-        tr.rmsprop_step(params, single_param(0.0), opt, tr.TrainConfig(seed=0))
+        acc = {"w": np.ones(1)}
+        tr.rmsprop_step(params, single_param(0.0), acc, tr.TrainConfig(seed=0))
         assert params["w"][0] == 0.7
-        assert opt.acc["w"][0] == pytest.approx(0.9)
+        assert acc["w"][0] == pytest.approx(0.9)
 
     def test_first_step_hand_value(self):
         # a = 0.1 * 1^2 = 0.1; delta = -1e-3 / (sqrt(0.1) + 1e-8) = -3.1623e-3
         params = single_param(0.0)
-        opt = tr.OptState.for_params(params.items())
+        acc = {"w": np.zeros_like(params["w"])}
         cfg = tr.TrainConfig(learning_rate=1e-3, decay_rate=0.9, epsilon=1e-8, seed=0)
-        tr.rmsprop_step(params, single_param(1.0), opt, cfg)
-        assert opt.acc["w"][0] == pytest.approx(0.1, abs=1e-15)
+        tr.rmsprop_step(params, single_param(1.0), acc, cfg)
+        assert acc["w"][0] == pytest.approx(0.1, abs=1e-15)
         assert params["w"][0] == pytest.approx(-3.1623e-3, abs=1e-6)
 
     def test_constant_gradient_step_approaches_lr(self):
         # as a -> g^2 the step magnitude tends to lr * sign(g)
         params = single_param(0.0)
-        opt = tr.OptState.for_params(params.items())
+        acc = {"w": np.zeros_like(params["w"])}
         cfg = tr.TrainConfig(learning_rate=1e-3, seed=0)
         prev = 0.0
         for _ in range(400):
             prev = params["w"][0]
-            tr.rmsprop_step(params, single_param(2.0), opt, cfg)
+            tr.rmsprop_step(params, single_param(2.0), acc, cfg)
         assert prev - params["w"][0] == pytest.approx(1e-3, rel=1e-3)
 
     def test_accumulator_nonnegative(self):
         rng = np.random.default_rng(0)
         params = {"w": rng.normal(size=8)}
-        opt = tr.OptState.for_params(params.items())
+        acc = {"w": np.zeros_like(params["w"])}
         cfg = tr.TrainConfig(seed=0)
         for _ in range(50):
-            tr.rmsprop_step(params, {"w": rng.normal(scale=3, size=8)}, opt, cfg)
-            assert (opt.acc["w"] >= 0).all()
+            tr.rmsprop_step(params, {"w": rng.normal(scale=3, size=8)}, acc, cfg)
+            assert (acc["w"] >= 0).all()
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(3)}
-        opt = tr.OptState.for_params(params.items())
+        acc = {"w": np.zeros_like(params["w"])}
         with pytest.raises(ValueError, match="shape"):
-            tr.rmsprop_step(params, {"w": np.zeros(4)}, opt, tr.TrainConfig(seed=0))
+            tr.rmsprop_step(params, {"w": np.zeros(4)}, acc, tr.TrainConfig(seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="decay_rate"):
@@ -65,31 +64,12 @@ class TestRmspropStep:
             tr.TrainConfig(learning_rate=-1.0)
 
     @pytest.mark.parametrize("name, value", [
-        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
         ("epsilon", 0.0), ("epsilon", -1e-8), ("epochs", 0), ("epochs", -3),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", float("-inf"))])
     def test_corrupting_setting_rejected_by_name(self, name, value):
         with pytest.raises(ValueError, match=name):
             tr.TrainConfig(**{name: value})
-
-
-class TestClip:
-    def test_norm_and_scaling(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        assert tr.grad_norm(grads) == pytest.approx(5.0)
-        tr.clip_gradients(grads, 2.5)
-        assert tr.grad_norm(grads) == pytest.approx(2.5)
-        tr.clip_gradients(grads, 10.0)  # below the cap: untouched
-        assert tr.grad_norm(grads) == pytest.approx(2.5)
-
-    def test_nonpositive_bound_rejected(self):
-        # a negative bound would return [-0.6, -0.8] and climb the loss
-        grads = {"a": np.array([3.0, 4.0])}
-        for bound in (-1.0, 0.0):
-            with pytest.raises(ValueError, match="max_norm"):
-                tr.clip_gradients(grads, bound)
-        np.testing.assert_array_equal(grads["a"], [3.0, 4.0])
 
 
 def tiny_dataset(seed, count=4, length=5):
@@ -144,11 +124,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             tr.train(model, [], tr.TrainConfig(seed=0))
 
-    def test_batch_accumulation_runs(self):
-        model = net.init_unsupervised(tiny_config(), seed=3)
-        cfg = tr.TrainConfig(learning_rate=1e-3, epochs=2, seed=0, batch_size=2)
-        _, losses = tr.train(model, tiny_dataset(4), cfg)
-        assert len(losses) == 2
+    @pytest.mark.parametrize("init, mode", [(net.init_supervised, "unsupervised"),
+                                            (net.init_unsupervised, "supervised")])
+    def test_mode_must_match_model(self, init, mode):
+        model = init(tiny_config(), seed=4)
+        with pytest.raises(ValueError, match=f"mode '{mode}' .* {model.kind} model"):
+            tr.train(model, tiny_dataset(7, count=2), tr.TrainConfig(seed=0), mode=mode)
 
 
 class TestNonFiniteGuard:

@@ -139,6 +139,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.workdir is not None and not Path(args.workdir).is_dir():
+        parser.error(f"--workdir {args.workdir}: not an existing directory")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-", dir=args.workdir) as tmp:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
