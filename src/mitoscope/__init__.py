@@ -14,6 +14,7 @@ from .data_pipeline import (
     VideoSource,
     augment,
     build_subsequences,
+    build_supervised_target,
     load_annotations,
     load_frames,
     save_annotations,
@@ -28,7 +29,6 @@ from .network import (
     SupervisedModel,
     backward_supervised,
     backward_unsupervised,
-    build_supervised_target,
     detect_events,
     encode,
     event_head,

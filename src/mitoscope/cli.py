@@ -116,7 +116,8 @@ def load_run_config(path=None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     with open(path) as fh:
         try:
             parser.read_file(fh)
@@ -394,6 +395,7 @@ def cmd_eval(args) -> int:
                   f"f1 {scores.f1:.3f} (tp={scores.tp} fp={scores.fp} fn={scores.fn})")
 
     hist = ev.timing_histogram(results[max(thresholds)])
+    Path(args.hist).parent.mkdir(parents=True, exist_ok=True)
     with open(args.hist, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dframe", "count"])

@@ -11,7 +11,8 @@ original-video coordinates.
 read-only ``[T,1,M,M]`` stack. Every subsequence of that window, and each
 of its augmentations, is a numpy view of the stack (a slice, a reversed
 axis or a ``rot90``), so the index costs one stack per window whatever the
-number of temporal starts and augmentations.
+number of temporal starts and augmentations. ``attach_targets`` paints each
+window's supervised targets once and gives them out as views the same way.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "invert_transform",
     "augment",
     "build_subsequences",
+    "build_supervised_target",
     "attach_targets",
     "load_annotations",
     "save_annotations",
@@ -118,9 +120,7 @@ def _read_png(path) -> np.ndarray:
 
 @dataclass
 class VideoSource:
-    """Ordered grayscale frames sharing one resolution. ``paths`` is empty
-    for in-memory (synthetic) sources."""
-    paths: list
+    """Ordered grayscale frames sharing one resolution."""
     width: int
     height: int
     frames: list  # uint8 [H,W] arrays
@@ -133,7 +133,7 @@ class VideoSource:
     def from_arrays(cls, frames) -> "VideoSource":
         frames = [np.asarray(f, dtype=np.uint8) for f in frames]
         h, w = frames[0].shape
-        return cls([], w, h, frames)
+        return cls(w, h, frames)
 
 
 _FRAME_RE = re.compile(r"frame_(\d+)\.(pgm|png)$")
@@ -157,7 +157,7 @@ def load_frames(directory) -> VideoSource:
     missing = [i for i in range(first, last + 1) if i not in found]
     if missing:
         raise ValueError(f"{directory}: missing frame index {missing[0]}")
-    paths, frames = [], []
+    frames = []
     shape = None
     for i in range(first, last + 1):
         path = found[i]
@@ -168,10 +168,9 @@ def load_frames(directory) -> VideoSource:
             raise ValueError(
                 f"{path}: frame dimensions {frame.shape[::-1]} differ from first frame "
                 f"{shape[::-1]}")
-        paths.append(str(path))
         frames.append(frame)
     h, w = shape
-    return VideoSource(paths, w, h, frames)
+    return VideoSource(w, h, frames)
 
 
 def rescale_unit(frame) -> np.ndarray:
@@ -283,7 +282,7 @@ class Subsequence:
     t0: int
     scale: int = 1
     transform: str = "identity"
-    targets: list | None = None  # supervised maps aligned to the target frames
+    targets: list | None = None  # [1,M,M] maps aligned to the target frames
 
     @property
     def model_size(self) -> int:
@@ -299,19 +298,12 @@ class Subsequence:
                 self.x0 + self.scale * ux + half,
                 self.y0 + self.scale * uy + half)
 
-    def to_model(self, x: int, y: int) -> tuple:
-        """Model coordinates of an original-resolution point inside this
-        window (augmentation applied)."""
-        mx = (x - self.x0) // self.scale
-        my = (y - self.y0) // self.scale
-        return transform_point(self.transform, mx, my, self.model_size)
-
 
 def augment(sub: Subsequence) -> list:
     """The six augmented variants (identity included), transforms applied
     uniformly to every frame. Their frames are views of ``sub.frames``, so
-    no pixels are copied. Targets are not carried over (rebuild them from
-    transformed coordinates instead)."""
+    no pixels are copied. Targets are not carried over; ``attach_targets``
+    gives each variant its view of the window's target stack."""
     return [Subsequence(transform_frames(sub.frames, tag), sub.x0, sub.y0, sub.t0,
                         sub.scale, tag)
             for tag in TRANSFORMS]
@@ -381,26 +373,58 @@ def build_subsequences(video: VideoSource, frame_range=None, window_size: int = 
     return subs
 
 
+# supervised target values, and the square sizes around a point in model pixels
+TARGET_BACKGROUND, TARGET_RING_VALUE, TARGET_CORE_VALUE = 0.1, 0.6, 1.0
+TARGET_RING_SIZE, TARGET_CORE_SIZE = 20, 7
+
+
+def build_supervised_target(points, frame_size: int, length: int) -> np.ndarray:
+    """``[length,1,M,M]`` training targets from annotated (frame, x, y)
+    points: a large square of TARGET_RING_VALUE and a small square of
+    TARGET_CORE_VALUE around each point, max over overlaps, squares clipped
+    at the frame border. Points on frames outside the stack are skipped."""
+    m = frame_size
+    maps = np.full((length, 1, m, m), TARGET_BACKGROUND)
+
+    def paint(f, cx, cy, size, value):
+        half = (size - 1) // 2
+        x0, x1 = max(0, cx - half), min(m, cx - half + size)
+        y0, y1 = max(0, cy - half), min(m, cy - half + size)
+        region = maps[f, 0, y0:y1, x0:x1]
+        np.maximum(region, value, out=region)
+
+    for f, x, y in points:
+        if not (0 <= x < m and 0 <= y < m):
+            raise ValueError(f"build_supervised_target: point ({x},{y}) outside {m}x{m} frame")
+        if 0 <= f < length:  # a max is order-free, so a core always beats a ring
+            paint(f, x, y, TARGET_RING_SIZE, TARGET_RING_VALUE)
+            paint(f, x, y, TARGET_CORE_SIZE, TARGET_CORE_VALUE)
+    return maps
+
+
 def attach_targets(subs, annotations, target_offset: int) -> None:
     """Build supervised target maps on each subsequence from annotations in
     original coordinates. ``target_offset`` is the index of the first
-    target frame within the subsequence."""
-    from .network import build_supervised_target
-
+    target frame within the subsequence. Each window's targets are painted
+    once, unaugmented, into a read-only stack over the target frames its
+    subsequences cover; a subsequence's targets are views of it, augmented
+    like its frames."""
+    windows = {}
     for sub in subs:
-        m = sub.model_size
-        length = sub.frames.shape[0] - target_offset
-        points = []
-        for f, x, y in annotations:
-            j = f - sub.t0 - target_offset
-            if not (0 <= j < length):
-                continue
-            if not (sub.x0 <= x < sub.x0 + m * sub.scale
-                    and sub.y0 <= y < sub.y0 + m * sub.scale):
-                continue
-            mx, my = sub.to_model(x, y)
-            points.append((j, mx, my))
-        sub.targets = build_supervised_target(points, m, length)
+        n = len(sub.frames)
+        if not 0 <= target_offset < n:
+            raise ValueError(f"target_offset {target_offset} outside [0, {n}) of {n} frames")
+        windows.setdefault((sub.x0, sub.y0, sub.scale, sub.model_size), []).append(sub)
+    for (x0, y0, scale, m), group in windows.items():
+        lo = min(sub.t0 for sub in group) + target_offset
+        hi = max(sub.t0 + len(sub.frames) for sub in group)
+        points = [(f - lo, (x - x0) // scale, (y - y0) // scale) for f, x, y in annotations
+                  if x0 <= x < x0 + m * scale and y0 <= y < y0 + m * scale]
+        stack = build_supervised_target(points, m, hi - lo)
+        stack.flags.writeable = False
+        for sub in group:
+            span = stack[sub.t0 + target_offset - lo:sub.t0 + len(sub.frames) - lo]
+            sub.targets = list(transform_frames(span, sub.transform))
 
 
 # ---------------------------------------------------------------------------

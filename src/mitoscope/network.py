@@ -2,7 +2,8 @@
 frames, a bidirectional event branch that classifies spatio-temporal events
 into per-block classes, and a decoder that reconstructs the target frames
 from both. Also the supervised variant (event branch + output convolutions,
-no event head) and the binary checkpoint format.
+no event head), which trains on the target maps of
+``data_pipeline.attach_targets``, and the binary checkpoint format.
 
 Event maps are [n,M,M] float arrays: block-constant per grid cell, exactly
 one active class per cell, values in (0,1].
@@ -56,7 +57,6 @@ __all__ = [
     "window_maps",
     "forward_supervised",
     "backward_supervised",
-    "build_supervised_target",
     "event_map_ok",
     "save_checkpoint",
     "load_checkpoint",
@@ -385,7 +385,6 @@ class _UnsupTrace:
 @dataclass
 class ReconOutput:
     frames: list  # reconstructed target frames, each [1,M,M] in (0,1)
-    hiddens: list  # decoder hidden states
     events: list  # per-frame event maps [n,M,M]
     loss: float
     trace: _UnsupTrace = field(repr=False, default=None)
@@ -416,8 +415,7 @@ def forward_unsupervised(model: BranchedModel, frames) -> ReconOutput:
     loss, d_pred = tc.bce_loss(pred, truth)
     trace = _UnsupTrace(enc_run, branch, head_traces, dec_run, dec_steps,
                         [d_pred[t] for t in range(len(target))])
-    hiddens = [st.h for st in dec_run.states]
-    return ReconOutput(recon, hiddens, events, loss, trace)
+    return ReconOutput(recon, events, loss, trace)
 
 
 def _decode_backward(model, trace_steps, d_frames, n_classes):
@@ -555,37 +553,6 @@ def backward_supervised(model: SupervisedModel, out: SupervisedOutput) -> Superv
     tr.steps = None
     return SupervisedModel(model.config,
                            *_event_branch_backward(model, tr.branch, d_hidden), *d_convs)
-
-
-# supervised target values, and the square sizes around a point in model pixels
-TARGET_BACKGROUND, TARGET_RING_VALUE, TARGET_CORE_VALUE = 0.1, 0.6, 1.0
-TARGET_RING_SIZE, TARGET_CORE_SIZE = 20, 7
-
-
-def build_supervised_target(points, frame_size: int, length: int) -> list:
-    """Training targets from annotated (frame, x, y) points: a large square
-    of TARGET_RING_VALUE and a small square of TARGET_CORE_VALUE around each
-    point, max over overlaps, squares clipped at the frame border."""
-    m = frame_size
-    maps = [np.full((1, m, m), TARGET_BACKGROUND) for _ in range(length)]
-
-    def paint(arr, cx, cy, size, value):
-        half = (size - 1) // 2
-        x0, x1 = max(0, cx - half), min(m, cx - half + size)
-        y0, y1 = max(0, cy - half), min(m, cy - half + size)
-        region = arr[0, y0:y1, x0:x1]
-        np.maximum(region, value, out=region)
-
-    for f, x, y in points:
-        if not (0 <= x < m and 0 <= y < m):
-            raise ValueError(f"build_supervised_target: point ({x},{y}) outside {m}x{m} frame")
-        if not (0 <= f < length):
-            continue
-        paint(maps[f], x, y, TARGET_RING_SIZE, TARGET_RING_VALUE)
-    for f, x, y in points:
-        if 0 <= f < length:
-            paint(maps[f], x, y, TARGET_CORE_SIZE, TARGET_CORE_VALUE)
-    return maps
 
 
 def event_map_ok(y: np.ndarray, grid_factor: int) -> bool:

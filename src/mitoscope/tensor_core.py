@@ -462,7 +462,6 @@ def channel_softmax_backward(trace: SoftmaxTrace, upstream) -> np.ndarray:
 @dataclass
 class WtaTrace:
     winner: np.ndarray  # [Hg,Wg] channel index
-    n: int
 
 
 def channel_wta(x) -> tuple[np.ndarray, WtaTrace]:
@@ -472,7 +471,7 @@ def channel_wta(x) -> tuple[np.ndarray, WtaTrace]:
     winner = x.argmax(axis=0)
     out = np.zeros_like(x)
     np.put_along_axis(out, winner[None], np.take_along_axis(x, winner[None], axis=0), axis=0)
-    return out, WtaTrace(winner, x.shape[0])
+    return out, WtaTrace(winner)
 
 
 def channel_wta_backward(trace: WtaTrace, upstream) -> np.ndarray:

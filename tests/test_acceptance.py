@@ -172,7 +172,7 @@ def test_criterion_1_gradient_suite():
     model_s = perturb_model(net.init_supervised(tiny_config(), seed=12),
                             np.random.default_rng(2025))
     frames_s = random_frames(np.random.default_rng(19), 3, 8)
-    targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+    targets = dp.build_supervised_target([(1, 4, 4)], 8, 3)
 
     def sup_forward(backward):
         o = net.forward_supervised(model_s, frames_s, targets)

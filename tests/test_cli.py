@@ -211,6 +211,13 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert f"{path}: malformed config" in err and detail in err
 
+    def test_percent_in_value_is_usage_error(self, tmp_path, capsys):
+        # no interpolation: a '%' reaches the value check like any other text
+        path = tmp_path / "pct.ini"
+        path.write_text("[postprocess]\nthreshold = 50%\n")
+        assert run(["synth", "--config", str(path), "--out", str(tmp_path / "video")]) == 2
+        assert f"{path}: bad value for postprocess.threshold" in capsys.readouterr().err
+
     def test_non_integer_env_seed_is_usage_error(self, tmp_path, tiny_config, capsys,
                                                  monkeypatch):
         monkeypatch.setenv("MITOSCOPE_SEED", "abc")
@@ -668,6 +675,18 @@ class TestEvalCommand:
         assert code == 2
         assert "--th -1 must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_hist_parent_created(self, tmp_path):
+        det = tmp_path / "d.csv"
+        det.write_text("frame,x,y,class,score\n3,10,10,0,1.0\n")
+        ann = tmp_path / "a.csv"
+        ann.write_text("frame,x,y\n3,10,10\n")
+        hist = tmp_path / "plots" / "eval" / "hist.csv"
+        code = run(["eval", "--detections", str(det), "--annotations", str(ann),
+                    "--out", str(tmp_path / "s.csv"), "--hist", str(hist)])
+        assert code == 0
+        assert sum(int(r["count"]) for r in csv.DictReader(open(hist))) == 1
+        assert hist.with_suffix(".png").exists()
 
     def test_malformed_detection_csv_reports_line(self, tmp_path, capsys):
         det = tmp_path / "d.csv"

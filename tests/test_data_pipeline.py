@@ -191,14 +191,18 @@ class TestProvenance:
         assert ox == 128 + 4 * 2 + 2
         assert oy == 256 + 4 * 3 + 2
 
-    def test_roundtrip_through_quantization(self):
-        rng = np.random.default_rng(4)
-        sub = dp.Subsequence(np.zeros((3, 1, 16, 16)), 128, 0, 0, scale=4,
-                             transform="rot90")
-        for _ in range(20):
-            mx, my = (int(v) for v in rng.integers(0, 16, 2))
-            _, ox, oy = sub.to_original(0, mx, my)
-            assert sub.to_model(ox, oy) == (mx, my)
+    def test_rot90_scale_four_one_hot(self):
+        # one bright 4x4 block in the second 64-px window, block (11, 5) at
+        # scale 4: its rot90 model pixel maps back to that block's centre
+        frames = np.zeros((2, 64, 128), dtype=np.uint8)
+        frames[1, 20:24, 64 + 44:64 + 48] = 255
+        subs = dp.build_subsequences(dp.VideoSource.from_arrays(frames), window_size=64,
+                                     window_step=64, downsample=4, length=2, augmented=True)
+        sub = next(s for s in subs if s.x0 == 64 and s.transform == "rot90")
+        assert np.count_nonzero(sub.frames) == 1
+        _, my, mx = np.argwhere(sub.frames[1])[0]
+        assert (mx, my) == (15 - 5, 11)
+        assert sub.to_original(1, mx, my) == (1, 64 + 4 * 11 + 2, 4 * 5 + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +383,15 @@ class TestBuildSubsequences:
         assert target[0, 40, 30] == 1.0
         assert target[0, 0, 0] == 0.1
 
+    @pytest.mark.parametrize("offset", [-1, 10])
+    def test_attach_targets_offset_out_of_range_named(self, offset):
+        video, _ = dp.synth_generate(dp.SyntheticConfig(seed=4, frame_count=12))
+        subs = dp.build_subsequences(video, window_size=64, window_step=64,
+                                     downsample=1, length=10)
+        with pytest.raises(ValueError, match=rf"target_offset {offset} outside \[0, 10\)"):
+            dp.attach_targets(subs, [], target_offset=offset)
+        assert all(sub.targets is None for sub in subs)
+
     def test_attach_targets_transforms_coordinates(self):
         video, _ = dp.synth_generate(dp.SyntheticConfig(seed=4, frame_count=12))
         base = dp.build_subsequences(video, window_size=64, window_step=64,
@@ -464,20 +477,62 @@ class TestStackViews:
         assert all(root_array(s.frames) is root_array(first[0].frames) for s in first)
         assert not np.shares_memory(first[0].frames, second[0].frames)
 
+    def test_targets_are_views_of_identity_targets(self):
+        video, annotations = dp.synth_generate(
+            dp.SyntheticConfig(seed=4, frame_size=96, frame_count=24, division_prob=0.2))
+        subs = dp.build_subsequences(video, window_size=64, window_step=32, downsample=1,
+                                     length=10, temporal_step=3, augmented=True)
+        assert len(annotations) > 3
+        annotations.append((9, 1, 94))  # its squares are clipped by the window border
+        dp.attach_targets(subs, annotations, target_offset=3)
+        for i in range(0, len(subs), 6):
+            identity = np.stack(subs[i].targets)
+            assert identity.shape == (7, 1, 64, 64)
+            for sub in subs[i:i + 6]:
+                want = np.ascontiguousarray(dp.transform_frames(identity, sub.transform))
+                assert np.stack(sub.targets).tobytes() == want.tobytes(), sub.transform
+                assert not sub.targets[0].flags.writeable
+        # one painted stack per window
+        roots = {}
+        for sub in subs:
+            roots.setdefault((sub.x0, sub.y0), set()).add(id(root_array(sub.targets[0])))
+        assert len(roots) == 4 and all(len(ids) == 1 for ids in roots.values())
+        # identity targets are the annotations painted in window coordinates
+        for sub in subs[::6]:
+            points = [(f - sub.t0 - 3, x - sub.x0, y - sub.y0) for f, x, y in annotations
+                      if sub.x0 <= x < sub.x0 + 64 and sub.y0 <= y < sub.y0 + 64]
+            want = dp.build_supervised_target(points, 64, 7)
+            assert np.stack(sub.targets).tobytes() == want.tobytes()
+
     def test_full_scale_index_fits_in_memory(self):
         # PAPER.md geometry: 1392x1040, 256-px windows stepping 128, x4
-        # block means, 15-frame subsequences, six augmentations; 100 frames
-        # of separate arrays would take 20.3 GB
+        # block means, six augmentations, 100 frames. The unsupervised index
+        # (15-frame subsequences) as separate arrays would take 20.3 GB; the
+        # supervised one (10 frames) would take 14.3 GB for its targets
+        # alone, painted per subsequence. One [100,1,64,64] stack per window
+        # is 262 MB, and the supervised targets add one more.
         video = noise_video(1392, 1040, 100, seed=7)
-        tracemalloc.start()
-        try:
-            subs = dp.build_subsequences(video, augmented=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(subs) == 80 * 86 * 6 == 41_280
-        assert subs[0].frames.shape == (15, 1, 64, 64)
-        assert peak < 400e6, f"traced peak {peak / 1e6:.0f} MB"
+        annotations = [(f, 53 * f % 1392, 31 * f % 1040) for f in range(100)]
+
+        def sup_index():
+            subs = dp.build_subsequences(video, length=10, augmented=True)
+            dp.attach_targets(subs, annotations, target_offset=0)
+            assert len(subs[-1].targets) == 10
+            return subs
+
+        for build, count, length, bound in (
+                (lambda: dp.build_subsequences(video, augmented=True), 80 * 86 * 6, 15, 400e6),
+                (sup_index, 80 * 91 * 6, 10, 700e6)):
+            tracemalloc.start()
+            try:
+                subs = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(subs) == count
+            assert subs[0].frames.shape == (length, 1, 64, 64)
+            assert peak < bound, f"{length}-frame index: traced peak {peak / 1e6:.0f} MB"
+            del subs
 
 
 class TestWindowingChecks:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from mitoscope import conv_lstm as cl
+from mitoscope import data_pipeline as dp
 from mitoscope import lanes
 from mitoscope import network as net
 from mitoscope import tensor_core as tc
@@ -282,7 +283,7 @@ class TestSupervised:
         model = tiny_sup_model
         rng = np.random.default_rng(19)
         frames = random_frames(rng, 3, 8)
-        targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+        targets = dp.build_supervised_target([(1, 4, 4)], 8, 3)
         out = net.forward_supervised(model, frames, targets)
         grads = dict(net.backward_supervised(model, out).named_params())
         names = [n for n, _ in model.named_params()]
@@ -302,13 +303,13 @@ class TestSupervised:
 
 class TestBuildSupervisedTarget:
     def test_no_annotations(self):
-        maps = net.build_supervised_target([], 64, 4)
+        maps = dp.build_supervised_target([], 64, 4)
         assert len(maps) == 4
         for m in maps:
             np.testing.assert_array_equal(m, 0.1)
 
     def test_square_geometry(self):
-        maps = net.build_supervised_target([(0, 32, 32)], 64, 1)
+        maps = dp.build_supervised_target([(0, 32, 32)], 64, 1)
         m = maps[0]
         assert m[0, 32, 32] == 1.0
         assert m[0, 40, 32] == 0.6  # 8 rows below: in the ring, outside the core
@@ -318,20 +319,20 @@ class TestBuildSupervisedTarget:
         assert m[0, 0, 0] == 0.1
 
     def test_corner_clipped(self):
-        maps = net.build_supervised_target([(0, 0, 0)], 64, 1)
+        maps = dp.build_supervised_target([(0, 0, 0)], 64, 1)
         m = maps[0]
         assert m[0, 0, 0] == 1.0
         assert m.shape == (1, 64, 64)
         assert m[0, 30, 30] == 0.1
 
     def test_overlap_resolved_by_max(self):
-        maps = net.build_supervised_target([(0, 20, 20), (0, 24, 20)], 64, 1)
+        maps = dp.build_supervised_target([(0, 20, 20), (0, 24, 20)], 64, 1)
         m = maps[0]
         assert m[0, 20, 22] == 1.0  # inside both cores
 
     def test_out_of_frame_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            net.build_supervised_target([(0, 70, 2)], 64, 1)
+            dp.build_supervised_target([(0, 70, 2)], 64, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +360,7 @@ def _all_outputs(s):
     frames = random_frames(rng, context + cfg.target_len, m)
     model = perturb_model(net.init_unsupervised(cfg, seed=s), rng)
     smodel = perturb_model(net.init_supervised(cfg, seed=s + 1), rng)
-    targets = net.build_supervised_target([(1, 5, 9)], m, cfg.target_len)
+    targets = dp.build_supervised_target([(1, 5, 9)], m, cfg.target_len)
     out = net.forward_unsupervised(model, frames)
     sout = net.forward_supervised(smodel, frames[context:], targets)
     arrays = [out.loss, *out.frames, *out.events, sout.loss, *sout.maps,
@@ -441,7 +442,7 @@ class TestTwoLanes:
     def test_helper_error_reaches_caller(self, tiny_sup_model, monkeypatch):
         model = tiny_sup_model
         frames = random_frames(np.random.default_rng(31), 3, 8)
-        targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+        targets = dp.build_supervised_target([(1, 4, 4)], 8, 3)
         expected = net.backward_supervised(model, net.forward_supervised(model, frames, targets))
         real = cl.bptt
 
@@ -492,7 +493,7 @@ class TestTwoLanes:
         assert out.trace is None
         with pytest.raises(ValueError, match="forward trace missing"):
             net.backward_unsupervised(tiny_unsup_model, out)
-        targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+        targets = dp.build_supervised_target([(1, 4, 4)], 8, 3)
         sout = net.forward_supervised(tiny_sup_model, frames[2:], targets)
         net.backward_supervised(tiny_sup_model, sout)
         assert sout.trace is None
@@ -529,7 +530,7 @@ class TestWindowMaps:
     def test_forward_only_maps_equal_traced_forward(self, tiny_unsup_model, tiny_sup_model):
         frames = random_frames(np.random.default_rng(41), 5, 8)
         out = net.forward_unsupervised(tiny_unsup_model, frames)
-        targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+        targets = dp.build_supervised_target([(1, 4, 4)], 8, 3)
         sout = net.forward_supervised(tiny_sup_model, frames[2:], targets)
         (events,) = net.window_maps(tiny_unsup_model, [frames[2:]])
         (maps,) = net.window_maps(tiny_sup_model, [frames[2:]])

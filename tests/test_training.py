@@ -6,7 +6,7 @@ import pytest
 
 from mitoscope import network as net
 from mitoscope import training as tr
-from mitoscope.data_pipeline import Subsequence
+from mitoscope.data_pipeline import Subsequence, build_supervised_target
 from conftest import perturb_model, tiny_config
 
 
@@ -108,7 +108,7 @@ class TestTrain:
         model = net.init_supervised(tiny_config(), seed=4)
         subs = tiny_dataset(6, count=3, length=5)  # encoder 2 + target 3
         for sub in subs:
-            sub.targets = net.build_supervised_target([(1, 4, 4)], 8, 3)
+            sub.targets = build_supervised_target([(1, 4, 4)], 8, 3)
         cfg = tr.TrainConfig(learning_rate=1e-3, epochs=2, seed=0)
         _, losses = tr.train(model, subs, cfg, mode="supervised")
         assert len(losses) == 2

@@ -11,7 +11,8 @@ alternate call by call, in a rotating order, so that a drift of the
 machine's speed falls on all alike. Runs on one BLAS thread, as the
 benchmark does. Writes ``BENCH_<tag>.json`` in the repository root with
 the median milliseconds per call of every shape and run, the path the rule
-picks, and the environment (cores, numpy, BLAS).
+picks, and the environment of ``tier1_time.environment`` (cores, affinity,
+numpy, the BLAS build and its thread variables).
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tools"))
 
 from mitoscope import lanes  # noqa: E402
 from mitoscope import tensor_core as tc  # noqa: E402
+from tier1_time import environment  # noqa: E402
 
 # (C_in, C_out): the 5x5 shapes of the desk-scale models (S=4 and 6) and
 # others below the 16-channel threshold, then shapes at and above it, the
@@ -88,9 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--size", type=int, default=64)
     parser.add_argument("--tag", default="conv_paths")
     args = parser.parse_args(argv)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    env = {"nproc": os.cpu_count(), "numpy": np.__version__, "blas": blas.get("name"),
-           "blas_version": blas.get("version"), "blas_threads": 1}
     rows = []
     print(" cin cout  im2col fwd/bwd ms  winograd fwd/bwd ms  two lanes fwd/bwd ms  rule")
     for c_in, c_out in SHAPES:
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
             f"  {r[f'{run}_fwd_ms']:8.2f} {r[f'{run}_bwd_ms']:8.2f}  " for run in RUNS)
             + f"  {r['rule_picks']}", flush=True)
     out = ROOT / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps({"env": env, "reps": args.reps, "rows": rows}, indent=1) + "\n")
+    out.write_text(json.dumps({"env": environment(), "reps": args.reps, "rows": rows}, indent=1) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
     return 0
 
