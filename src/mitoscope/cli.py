@@ -257,6 +257,8 @@ def _build_dataset(cfg: RunConfig, video, frame_range, mode, augmented):
 
 
 def cmd_train(args) -> int:
+    if args.mode == "sup" and args.annotations is None:
+        raise UsageError("supervised training requires --annotations")
     cfg = load_run_config(args.config)
     _apply_env_seed(cfg)
     if args.epochs is not None:
@@ -270,8 +272,6 @@ def cmd_train(args) -> int:
 
     subs = _build_dataset(cfg, video, frame_range, args.mode, cfg.data.augment)
     if args.mode == "sup":
-        if args.annotations is None:
-            raise UsageError("supervised training requires --annotations")
         annotations = dp.load_annotations(args.annotations, video.width, video.height)
         dp.attach_targets(subs, annotations, target_offset=0)
         model = net.init_supervised(cfg.network, seed=cfg.training.seed)

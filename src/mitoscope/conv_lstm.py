@@ -16,10 +16,12 @@ A step runs the four gates' ``W_x * x + W_h * h_prev`` as one convolution of
 [x; h_prev] with the kernel [W_x | W_h], which ``ConvLstmParams`` stores as
 one array; the per-gate arrays under their checkpoint names are views of it.
 
-``unroll`` keeps one ``StepTrace`` per step for ``bptt``. ``bptt`` consumes
-the unroll: it drops each step's trace and state once that step is reversed,
-so a second ``bptt`` on the same unroll is an error. Neither shares state
-between calls, so two layers may run on two threads at once.
+``unroll`` runs a layer first frame first and keeps one ``StepTrace`` per
+step for ``bptt``; a layer that reads backward in time is given its frames
+reversed (``network``). ``bptt`` consumes the unroll: it drops each step's
+trace and state once that step is reversed, so a second ``bptt`` on the
+same unroll is an error. Neither shares state between calls, so two layers
+may run on two threads at once.
 """
 
 from __future__ import annotations
@@ -106,10 +108,9 @@ class StepTrace:
 
 @dataclass
 class UnrollResult:
-    states: list  # CellState per step, in forward time order
-    final: CellState  # state after the last processed step
-    traces: list  # StepTrace per step, in iteration order; None once reversed
-    reverse: bool
+    states: list  # CellState per step
+    final: CellState  # state after the last step
+    traces: list  # StepTrace per step; None once reversed
 
 
 def zero_state(state_channels: int, height: int, width: int) -> CellState:
@@ -181,33 +182,27 @@ def _step_backward(params: ConvLstmParams, tr: StepTrace, d_h: np.ndarray,
     return d_in[:c_in], d_in[c_in:], d_c_prev
 
 
-def unroll(params: ConvLstmParams, xs, init: CellState,
-           reverse: bool = False) -> UnrollResult:
-    """Iterate ``step`` over a frame sequence. With ``reverse`` the sequence
-    is consumed from the last frame to the first; the returned per-step
-    states are re-aligned to forward time order either way."""
-    n = len(xs)
-    if n == 0:
+def unroll(params: ConvLstmParams, xs, init: CellState) -> UnrollResult:
+    """Iterate ``step`` over a frame sequence, first frame first."""
+    if len(xs) == 0:
         raise ValueError("unroll: cannot unroll an empty sequence")
-    order = range(n - 1, -1, -1) if reverse else range(n)
     state = init
-    states: list = [None] * n
-    traces = []
-    for t in order:
-        state, tr = step(params, xs[t], state)
-        states[t] = state
+    states, traces = [], []
+    for x in xs:
+        state, tr = step(params, x, state)
+        states.append(state)
         traces.append(tr)
-    return UnrollResult(states, state, traces, reverse)
+    return UnrollResult(states, state, traces)
 
 
 def bptt(params: ConvLstmParams, run: UnrollResult, d_hidden,
          d_c_final: np.ndarray | None = None):
     """Backpropagation through time over an unroll.
 
-    ``d_hidden`` holds one upstream gradient per forward-time step (None
-    entries mean zero); ``d_c_final`` is an optional extra gradient on the
-    final cell state. Both must have the state's shape [S,H,W]. Returns
-    (param grads, d_inputs in forward order, gradient on the initial state).
+    ``d_hidden`` holds one upstream gradient per step (None entries mean
+    zero); ``d_c_final`` is an optional extra gradient on the final cell
+    state. Both must have the state's shape [S,H,W]. Returns (param grads,
+    d_inputs per step, gradient on the initial state).
 
     Consumes ``run``: each step's trace and state are dropped once that step
     is reversed.
@@ -227,12 +222,11 @@ def bptt(params: ConvLstmParams, run: UnrollResult, d_hidden,
     d_h_next = np.zeros(shape)
     d_c_next = np.zeros(shape) if d_c_final is None else np.asarray(d_c_final, dtype=np.float64)
     d_inputs: list = [None] * n
-    for j in range(n - 1, -1, -1):
-        t = n - 1 - j if run.reverse else j
+    for t in range(n - 1, -1, -1):
         d_h = d_h_next if d_hidden[t] is None else d_hidden[t] + d_h_next
-        d_x, d_h_next, d_c_next = _step_backward(params, run.traces[j], d_h,
+        d_x, d_h_next, d_c_next = _step_backward(params, run.traces[t], d_h,
                                                  d_c_next, grads)
-        run.traces[j] = run.states[t] = None
+        run.traces[t] = run.states[t] = None
         d_inputs[t] = d_x.copy()  # a view would pin the whole [C+S,H,W] gradient
     return grads, d_inputs, CellState(d_h_next, d_c_next)
 

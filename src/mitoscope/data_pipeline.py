@@ -13,6 +13,8 @@ of its augmentations, is a numpy view of the stack (a slice, a reversed
 axis or a ``rot90``), so the index costs one stack per window whatever the
 number of temporal starts and augmentations. ``attach_targets`` paints each
 window's supervised targets once and gives them out as views the same way.
+The six augmentations are one table of views (``TRANSFORMS`` names them);
+``Subsequence.to_original`` inverts one by viewing pixel indices with it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ __all__ = [
     "check_fields",
     "FINITE_NONNEG",
     "transform_frames",
-    "transform_point",
-    "invert_transform",
     "augment",
     "build_subsequences",
     "build_supervised_target",
@@ -220,54 +220,29 @@ def block_mean(frame: np.ndarray, factor: int) -> np.ndarray:
 # augmentation group
 # ---------------------------------------------------------------------------
 
-TRANSFORMS = ("identity", "fliph", "flipv", "rot90", "rot180", "rot270")
-
-_INVERSE = {"identity": "identity", "fliph": "fliph", "flipv": "flipv",
-            "rot90": "rot270", "rot180": "rot180", "rot270": "rot90"}
+# each augmentation as a view of the last two axes; rot90 turns clockwise,
+# sending pixel (x, y) of an M-wide frame to (M-1-y, x)
+_VIEWS = {
+    "identity": lambda a: a[...],
+    "fliph": lambda a: a[..., ::-1],
+    "flipv": lambda a: a[..., ::-1, :],
+    "rot90": lambda a: np.rot90(a, k=3, axes=(-2, -1)),
+    "rot180": lambda a: np.rot90(a, k=2, axes=(-2, -1)),
+    "rot270": lambda a: np.rot90(a, k=1, axes=(-2, -1)),
+}
+TRANSFORMS = tuple(_VIEWS)
 
 
 def transform_frames(frames: np.ndarray, tag: str) -> np.ndarray:
-    """Apply one augmentation to a [T,1,M,M] stack. The result is a view of
-    ``frames`` (reversed axes or a ``rot90``), never a copy, so it shares
-    memory and writeability with it. Point rule and frame rule are kept
-    consistent (see transform_point)."""
+    """Apply one augmentation to a [T,1,M,M] stack, or to any array whose
+    last two axes are square. The result is a view of ``frames`` (reversed
+    axes or a ``rot90``), never a copy, so it shares memory and writeability
+    with it."""
     if frames.shape[-1] != frames.shape[-2]:
         raise ValueError(f"augmentation needs square frames, got {frames.shape[-2:]}")
-    if tag == "identity":
-        return frames[...]
-    if tag == "fliph":
-        return frames[..., ::-1]
-    if tag == "flipv":
-        return frames[..., ::-1, :]
-    if tag == "rot90":
-        return np.rot90(frames, k=3, axes=(-2, -1))
-    if tag == "rot180":
-        return np.rot90(frames, k=2, axes=(-2, -1))
-    if tag == "rot270":
-        return np.rot90(frames, k=1, axes=(-2, -1))
-    raise ValueError(f"unknown transform {tag!r}")
-
-
-def transform_point(tag: str, x: int, y: int, size: int) -> tuple:
-    """Companion point map: where pixel (x, y) of an size-wide frame lands
-    under the frame transform. rot90 sends (x, y) to (size-1-y, x)."""
-    if tag == "identity":
-        return x, y
-    if tag == "fliph":
-        return size - 1 - x, y
-    if tag == "flipv":
-        return x, size - 1 - y
-    if tag == "rot90":
-        return size - 1 - y, x
-    if tag == "rot180":
-        return size - 1 - x, size - 1 - y
-    if tag == "rot270":
-        return y, size - 1 - x
-    raise ValueError(f"unknown transform {tag!r}")
-
-
-def invert_transform(tag: str) -> str:
-    return _INVERSE[tag]
+    if tag not in _VIEWS:
+        raise ValueError(f"unknown transform {tag!r}")
+    return _VIEWS[tag](frames)
 
 
 @dataclass
@@ -291,8 +266,14 @@ class Subsequence:
     def to_original(self, frame_idx: int, x: int, y: int) -> tuple:
         """(frame, x, y) in original coordinates for a model-resolution
         point; inverts the augmentation, then undoes scaling (block
-        centers) and the window offset."""
-        ux, uy = transform_point(invert_transform(self.transform), x, y, self.model_size)
+        centers) and the window offset. The augmentation is inverted by
+        viewing a grid of flat pixel indices the way the frames were
+        viewed: the index at (x, y) names the unaugmented source pixel."""
+        m = self.model_size
+        if not (0 <= x < m and 0 <= y < m):
+            raise ValueError(f"to_original: point ({x},{y}) outside {m}x{m} frame")
+        source = transform_frames(np.arange(m * m).reshape(m, m), self.transform)[y, x]
+        uy, ux = divmod(int(source), m)
         half = self.scale // 2
         return (self.t0 + frame_idx,
                 self.x0 + self.scale * ux + half,
@@ -471,6 +452,10 @@ def save_annotations(points, path) -> None:
 # synthetic dividing-blob videos
 # ---------------------------------------------------------------------------
 
+# blob brightness at rest and at a division's peak, and the background level
+SYNTH_BRIGHTNESS_BASE, SYNTH_BRIGHTNESS_PEAK, SYNTH_BACKGROUND = 0.4, 0.9, 0.03
+
+
 @dataclass
 class SyntheticConfig:
     frame_size: int = 64
@@ -479,9 +464,6 @@ class SyntheticConfig:
     blob_radius: float = 4.0
     drift_speed: float = 0.6
     division_prob: float = 0.05
-    brightness_base: float = 0.4
-    brightness_peak: float = 0.9
-    background: float = 0.03
     seed: int = 0
 
     def __post_init__(self):
@@ -537,7 +519,7 @@ def synth_generate(cfg: SyntheticConfig):
     """Gaussian blobs on seeded random walks. A division elongates a blob
     while its brightness rises over two frames to a shrunken peak, then the
     blob splits into two bright daughters. The annotation is the first
-    frame with both daughters apart (the split frame), so at the default
+    frame with both daughters apart (the split frame), so at the SYNTH_*
     brightness levels intensity at the annotated midpoint rises by at least
     0.15 between two frames before the annotation and the annotation itself.
     """
@@ -546,7 +528,7 @@ def synth_generate(cfg: SyntheticConfig):
     margin = cfg.margin
     sigma = cfg.blob_radius / 1.6
     split_dist = 1.5 * cfg.blob_radius
-    base, peak = cfg.brightness_base, cfg.brightness_peak
+    base, peak = SYNTH_BRIGHTNESS_BASE, SYNTH_BRIGHTNESS_PEAK
 
     blobs = [
         _Blob(x=float(rng.uniform(margin, size - 1 - margin)),
@@ -611,7 +593,7 @@ def synth_generate(cfg: SyntheticConfig):
                                   cooldown=10, fade=3))
                 annotations.append((t, int(round(mid_x)), int(round(mid_y))))
         blobs.extend(born)
-        img = _render(blobs, size, cfg.background)
+        img = _render(blobs, size, SYNTH_BACKGROUND)
         frames.append((img * 255.0 + 0.5).astype(np.uint8))
     return VideoSource.from_arrays(frames), annotations
 

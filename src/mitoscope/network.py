@@ -6,7 +6,9 @@ no event head), which trains on the target maps of
 ``data_pipeline.attach_targets``, and the binary checkpoint format.
 
 Event maps are [n,M,M] float arrays: block-constant per grid cell, exactly
-one active class per cell, values in (0,1].
+one active class per cell, values in (0,1]. The event branch's backward
+reader is a plain ConvLSTM run on the target frames reversed; what it
+returns is reversed back to forward time before the merge reads it.
 
 Work that shares nothing runs on the two lanes of ``lanes``, the caller and
 a helper thread; ``lanes`` decides whether they run at once or one after
@@ -243,21 +245,19 @@ class _EventBranchTrace:
     fwd_run: cl.UnrollResult
     bwd_run: cl.UnrollResult
     merge_run: cl.UnrollResult
-    split: int  # channel split point of the concatenated features
 
 
 def _bidirectional_features(fwd_params, bwd_params, frames):
-    """Forward and reversed unrolls over the target frames, run at once,
-    hidden states re-aligned to forward time and channel-concatenated per
-    step."""
+    """Unrolls over the target frames and over the reversed frames, run at
+    once; the backward reader's hidden states are re-aligned to forward time
+    and channel-concatenated with the forward reader's per step."""
     s = fwd_params.state_channels
     h = frames[0].shape[1]
     w = frames[0].shape[2]
     run_f, run_b = lanes.both(
         lambda: cl.unroll(fwd_params, frames, cl.zero_state(s, h, w)),
-        lambda: cl.unroll(bwd_params, frames, cl.zero_state(s, h, w), reverse=True))
-    feats = [tc.concat_channels(run_f.states[t].h, run_b.states[t].h)
-             for t in range(len(frames))]
+        lambda: cl.unroll(bwd_params, frames[::-1], cl.zero_state(s, h, w)))
+    feats = [tc.concat_channels(f.h, b.h) for f, b in zip(run_f.states, run_b.states[::-1])]
     return feats, run_f, run_b
 
 
@@ -267,32 +267,33 @@ def _event_branch(model, frames):
     s = model.event_fwd.state_channels
     m = frames[0].shape[1]
     merge_run = cl.unroll(model.event_merge, feats, cl.zero_state(s, m, m))
-    return merge_run, _EventBranchTrace(run_f, run_b, merge_run, s)
+    return merge_run, _EventBranchTrace(run_f, run_b, merge_run)
 
 
 def _event_branch_backward(model, trace: _EventBranchTrace, d_hidden):
     """BPTT through merge, then split the per-step feature gradients back
-    into the forward and backward readers, which run at once. Consumes the
-    trace. Returns the gradients of (event_fwd, event_bwd, event_merge)."""
+    into the forward and backward readers, which run at once; the backward
+    reader's share is reversed to its own step order. Consumes the trace.
+    Returns the gradients of (event_fwd, event_bwd, event_merge)."""
     g_merge, d_feats, _ = cl.bptt(model.event_merge, trace.merge_run, d_hidden)
     d_fwd_h, d_bwd_h = [], []
     for d in d_feats:
-        a, b = tc.concat_channels_backward(d, trace.split)
+        a, b = tc.concat_channels_backward(d, model.event_fwd.state_channels)
         d_fwd_h.append(a)
         d_bwd_h.append(b)
     g_fwd, g_bwd = lanes.both(lambda: cl.bptt(model.event_fwd, trace.fwd_run, d_fwd_h)[0],
-                              lambda: cl.bptt(model.event_bwd, trace.bwd_run, d_bwd_h)[0])
+                              lambda: cl.bptt(model.event_bwd, trace.bwd_run, d_bwd_h[::-1])[0])
     return g_fwd, g_bwd, g_merge
 
 
-def _reader_hiddens(params, frames, reverse=False):
-    """One reader's hidden states in forward time order, forward only. It
-    unrolls one frame at a time, so no cell state outlives the next step."""
+def _reader_hiddens(params, frames):
+    """One reader's hidden states, forward only. It unrolls one frame at a
+    time, so no cell state outlives the next step."""
     state = cl.zero_state(params.state_channels, *frames[0].shape[1:])
-    hiddens = [None] * len(frames)
-    for t in (range(len(frames) - 1, -1, -1) if reverse else range(len(frames))):
-        state = cl.unroll(params, [frames[t]], state).final
-        hiddens[t] = state.h
+    hiddens = []
+    for x in frames:
+        state = cl.unroll(params, [x], state).final
+        hiddens.append(state.h)
     return hiddens
 
 
@@ -301,7 +302,7 @@ def _merged_hiddens(model, frames):
     step by step. Each step's features are built as the merge reads them,
     and no reader or merge state outlives what reads it."""
     fwd, bwd = lanes.both(lambda: _reader_hiddens(model.event_fwd, frames),
-                     lambda: _reader_hiddens(model.event_bwd, frames, reverse=True))
+                          lambda: _reader_hiddens(model.event_bwd, frames[::-1])[::-1])
     state = cl.zero_state(model.event_merge.state_channels, *frames[0].shape[1:])
     for t in range(len(frames)):
         x = tc.concat_channels(fwd[t], bwd[t])
@@ -418,32 +419,26 @@ def forward_unsupervised(model: BranchedModel, frames) -> ReconOutput:
     return ReconOutput(recon, events, loss, trace)
 
 
-def _decode_backward(model, trace_steps, d_frames, n_classes):
-    """Backward through the per-step output convolutions. Returns per-step
-    gradients on the decoder hidden states and the event maps, plus
-    accumulated conv parameter gradients."""
-    s = model.recon_w.shape[0]
-    d_hidden, d_events = [], []
-    d_recon_w = np.zeros_like(model.recon_w)
-    d_recon_b = np.zeros_like(model.recon_b)
-    d_out_w = np.zeros_like(model.out_w)
-    d_out_b = np.zeros_like(model.out_b)
-    for st, d_frame in zip(trace_steps, d_frames):
-        d_b = tc.sigmoid_backward(st.sig_out, d_frame)
-        d_ta, dw2, db2 = tc.conv2d_same_backward(st.conv2, d_b)
-        d_a = tc.tanh_backward(st.tanh_out, d_ta)
-        d_merged, dw1, db1 = tc.conv2d_same_backward(st.conv1, d_a)
-        d_out_w += dw2
-        d_out_b += db2
-        d_recon_w += dw1
-        d_recon_b += db1
-        if n_classes:
-            d_h, d_y = tc.concat_channels_backward(d_merged, s)
-            d_events.append(d_y)
-        else:
-            d_h = d_merged
-        d_hidden.append(d_h)
-    return d_hidden, d_events, (d_recon_w, d_recon_b, d_out_w, d_out_b)
+def _decode_backward(model, trace_steps, d_frames):
+    """Backward through the per-step output convolutions. Returns the conv
+    parameter gradients (recon_w, recon_b, out_w, out_b) and a generator of
+    per-step gradients on the features the convolutions read. Each step is
+    reversed as its gradient is drawn, adding its share to the parameter
+    gradients, so they are complete once the generator is drained and only
+    one step's feature gradient is built at a time."""
+    d_convs = tuple(np.zeros_like(a) for a in (model.recon_w, model.recon_b,
+                                               model.out_w, model.out_b))
+
+    def steps():
+        for st, d_frame in zip(trace_steps, d_frames):
+            d_b = tc.sigmoid_backward(st.sig_out, d_frame)
+            d_ta, dw2, db2 = tc.conv2d_same_backward(st.conv2, d_b)
+            d_a = tc.tanh_backward(st.tanh_out, d_ta)
+            d_merged, dw1, db1 = tc.conv2d_same_backward(st.conv1, d_a)
+            for acc, g in zip(d_convs, (dw1, db1, dw2, db2)):
+                acc += g
+            yield d_merged
+    return d_convs, steps()
 
 
 def backward_unsupervised(model: BranchedModel, out: ReconOutput) -> BranchedModel:
@@ -453,8 +448,9 @@ def backward_unsupervised(model: BranchedModel, out: ReconOutput) -> BranchedMod
     tr, out.trace = out.trace, None
     if tr is None:
         raise ValueError("backward_unsupervised: forward trace missing")
-    d_hidden, d_events, d_convs = _decode_backward(
-        model, tr.dec_steps, tr.d_pred, model.config.event_classes)
+    d_convs, d_features = _decode_backward(model, tr.dec_steps, tr.d_pred)
+    s = model.config.hidden_channels
+    d_hidden, d_events = zip(*(tc.concat_channels_backward(d, s) for d in d_features))
     tr.dec_steps = None
 
     # decoder BPTT; its initial-state gradient flows into the encoder
@@ -549,7 +545,8 @@ def backward_supervised(model: SupervisedModel, out: SupervisedOutput) -> Superv
     tr, out.trace = out.trace, None
     if tr is None:
         raise ValueError("backward_supervised: forward trace missing")
-    d_hidden, _, d_convs = _decode_backward(model, tr.steps, tr.d_pred, 0)
+    d_convs, d_features = _decode_backward(model, tr.steps, tr.d_pred)
+    d_hidden = list(d_features)
     tr.steps = None
     return SupervisedModel(model.config,
                            *_event_branch_backward(model, tr.branch, d_hidden), *d_convs)
@@ -619,19 +616,17 @@ def _decode(raw: bytes, what: str) -> str:
         raise CheckpointError(f"{what} is not UTF-8: {raw[:64]!r}") from exc
 
 
-def load_checkpoint(path, expect: NetworkConfig | None = None):
-    """Rebuild a model from a checkpoint file. With ``expect`` given, blob
-    shapes are validated against that config instead of the file's own and
-    any mismatch names the offending blob. Every ``CheckpointError`` names
-    the file."""
+def load_checkpoint(path):
+    """Rebuild a model from a checkpoint file. Every ``CheckpointError``
+    names the file."""
     with open(path, "rb") as fh:
         try:
-            return _read_checkpoint(fh, expect)
+            return _read_checkpoint(fh)
         except CheckpointError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
 
 
-def _read_checkpoint(fh, expect: NetworkConfig | None):
+def _read_checkpoint(fh):
     magic = fh.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint: bad magic")
@@ -661,11 +656,10 @@ def _read_checkpoint(fh, expect: NetworkConfig | None):
     except ValueError as exc:
         raise CheckpointError(f"bad config: {exc}") from exc
 
-    build_cfg = expect if expect is not None else config
     if kind == "unsupervised":
-        model = init_unsupervised(build_cfg, seed=0)
+        model = init_unsupervised(config, seed=0)
     else:
-        model = init_supervised(build_cfg, seed=0)
+        model = init_supervised(config, seed=0)
     expected = dict(model.named_params())
     # name length and rank come from the file: bound both before reading
     # what they size

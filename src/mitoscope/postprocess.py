@@ -51,11 +51,6 @@ class PatchSequence:
     class_id: int
     members: list  # sorted (frame, block_row, block_col)
 
-    @property
-    def frame_span(self) -> tuple:
-        frames = [m[0] for m in self.members]
-        return min(frames), max(frames)
-
 
 def class_grid(event_maps, grid_factor: int = 8) -> np.ndarray:
     """[T, M/g, M/g] winning class per grid cell of a sequence of event

@@ -303,10 +303,14 @@ class TestTrainCommand:
                         "--mode", "unsup", "--out", str(c)]) == 0
         assert c1.read_bytes() == c2.read_bytes()
 
-    def test_supervised_requires_annotations(self, tmp_path, tiny_config, synth_video):
-        code = run(["train", "--config", tiny_config, "--frames", str(synth_video),
-                    "--mode", "sup", "--out", str(tmp_path / "m.ckpt")])
-        assert code == 2
+    def test_supervised_requires_annotations(self, tmp_path, tiny_config, synth_video,
+                                             capsys):
+        # a frame directory that does not exist shows the check comes first
+        for frames in (synth_video, tmp_path / "missing"):
+            code = run(["train", "--config", tiny_config, "--frames", str(frames),
+                        "--mode", "sup", "--out", str(tmp_path / "m.ckpt")])
+            assert code == 2
+            assert "--annotations" in capsys.readouterr().err
 
     def test_supervised_trains(self, tmp_path, tiny_config, synth_video):
         ckpt = tmp_path / "sup" / "model.ckpt"

@@ -159,7 +159,7 @@ class TestUnroll:
         xs = [a, b, a]
         init = cl.zero_state(2, 4, 4)
         fwd = cl.unroll(p, xs, init)
-        bwd = cl.unroll(p, xs, init, reverse=True)
+        bwd = cl.unroll(p, xs[::-1], init)  # the backward reader's reading
         np.testing.assert_array_equal(fwd.final.h, bwd.final.h)
         np.testing.assert_array_equal(fwd.final.c, bwd.final.c)
 
@@ -175,17 +175,6 @@ class TestUnroll:
             np.testing.assert_array_equal(run.states[t].h, state.h)
             np.testing.assert_array_equal(run.states[t].c, state.c)
 
-    def test_reverse_is_forward_on_reversed_inputs(self):
-        rng = np.random.default_rng(6)
-        p = tiny_params(rng, c_in=1)
-        xs = [rng.uniform(0, 1, (1, 4, 4)) for _ in range(4)]
-        init = cl.zero_state(2, 4, 4)
-        rev = cl.unroll(p, xs, init, reverse=True)
-        fwd_on_reversed = cl.unroll(p, xs[::-1], init)
-        for t in range(4):
-            np.testing.assert_array_equal(rev.states[t].h,
-                                          fwd_on_reversed.states[3 - t].h)
-
     def test_empty_rejected(self):
         p = cl.init_params(1, 2, 4, 4, seed=0)
         with pytest.raises(ValueError, match="empty"):
@@ -196,10 +185,10 @@ class TestUnroll:
 # bptt
 # ---------------------------------------------------------------------------
 
-def unroll_loss(p, xs, init, weights, d_c_w=None, reverse=False):
+def unroll_loss(p, xs, init, weights, d_c_w=None):
     """Scalar objective: weighted sum of all per-step hidden states (plus an
     optional weighted final cell term) for gradient checking."""
-    run = cl.unroll(p, xs, init, reverse=reverse)
+    run = cl.unroll(p, xs, init)
     val = sum(float((run.states[t].h * weights[t]).sum()) for t in range(len(xs)))
     if d_c_w is not None:
         val += float((run.final.c * d_c_w).sum())
@@ -255,8 +244,7 @@ class TestBptt:
         hm, _ = scalar_lstm_step(w, x, 0.21 - eps, -0.4)
         assert abs(d_init.h.item() - (hp - hm) / (2 * eps)) <= 1e-7
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_three_step_finite_difference(self, reverse):
+    def test_three_step_finite_difference(self):
         rng = np.random.default_rng(9)
         p = tiny_params(rng)
         xs = [rng.uniform(-1, 1, (2, 4, 4)) for _ in range(3)]
@@ -265,7 +253,7 @@ class TestBptt:
         weights = [rng.normal(size=(2, 4, 4)) for _ in range(3)]
         dc_w = rng.normal(size=(2, 4, 4))
 
-        run = cl.unroll(p, xs, init, reverse=reverse)
+        run = cl.unroll(p, xs, init)
         grads, d_inputs, d_init = cl.bptt(p, run, weights, d_c_final=dc_w)
 
         names = [n for n, _ in p.named_arrays()]
@@ -274,21 +262,20 @@ class TestBptt:
 
         def loss(*arrs):
             q = params_from_vectors(p, arrs)
-            return unroll_loss(q, xs, init, weights, d_c_w=dc_w, reverse=reverse)
+            return unroll_loss(q, xs, init, weights, d_c_w=dc_w)
 
         err = tc.finite_diff_check(loss, arrays, analytic)
         assert err <= 1e-5
 
         # inputs and initial state too
         def loss_x(*xs_flat):
-            return unroll_loss(p, list(xs_flat), init, weights, d_c_w=dc_w, reverse=reverse)
+            return unroll_loss(p, list(xs_flat), init, weights, d_c_w=dc_w)
 
         err = tc.finite_diff_check(loss_x, xs, d_inputs)
         assert err <= 1e-5
 
         def loss_init(h0, c0):
-            return unroll_loss(p, xs, cl.CellState(h0, c0), weights, d_c_w=dc_w,
-                               reverse=reverse)
+            return unroll_loss(p, xs, cl.CellState(h0, c0), weights, d_c_w=dc_w)
 
         err = tc.finite_diff_check(loss_init, [init.h, init.c], [d_init.h, d_init.c])
         assert err <= 1e-5

@@ -1,6 +1,6 @@
 """Pipeline tests: window enumeration oracles, downsample oracle,
-augmentation group identities via one-hot frames, PGM and annotation I/O,
-synthetic generator self-checks."""
+augmentation group identities and one-hot round trips, PGM and annotation
+I/O, synthetic generator self-checks."""
 
 import tracemalloc
 
@@ -124,12 +124,6 @@ class TestDownsample:
 # augmentation
 # ---------------------------------------------------------------------------
 
-def one_hot_frame(x, y, size):
-    f = np.zeros((1, 1, size, size))
-    f[0, 0, y, x] = 1.0
-    return f
-
-
 class TestAugment:
     def test_six_variants_with_tags(self):
         rng = np.random.default_rng(1)
@@ -149,26 +143,25 @@ class TestAugment:
             out = dp.transform_frames(out, "rot90")
         np.testing.assert_array_equal(out, frames)
 
-    def test_point_rule_matches_one_hot_frames(self):
-        size = 7
-        rng = np.random.default_rng(3)
-        for tag in dp.TRANSFORMS:
-            x, y = rng.integers(0, size, 2)
-            moved = dp.transform_frames(one_hot_frame(x, y, size), tag)
-            nx, ny = dp.transform_point(tag, int(x), int(y), size)
-            assert moved[0, 0, ny, nx] == 1.0
-            assert moved.sum() == 1.0
-
-    def test_rot90_closed_form(self):
-        assert dp.transform_point("rot90", 2, 5, 8) == (8 - 1 - 5, 2)
-
-    def test_inverses(self):
-        size = 9
-        for tag in dp.TRANSFORMS:
-            inv = dp.invert_transform(tag)
-            x, y = 3, 7
-            fx, fy = dp.transform_point(tag, x, y, size)
-            assert dp.transform_point(inv, fx, fy, size) == (x, y)
+    @pytest.mark.parametrize("scale", [1, 4])
+    def test_one_hot_pixel_maps_back_under_every_tag(self, scale):
+        # one bright block at model pixel (1, 2), off every symmetry axis of
+        # the 8x8 model frame, so each tag moves it somewhere else; its
+        # augmented model pixel maps back to the block's centre
+        size = 8 * scale
+        frames = np.zeros((1, size, size), dtype=np.uint8)
+        frames[0, 2 * scale:3 * scale, scale:2 * scale] = 255
+        subs = dp.build_subsequences(dp.VideoSource.from_arrays(frames), window_size=size,
+                                     window_step=size, downsample=scale, length=1,
+                                     augmented=True)
+        assert [sub.transform for sub in subs] == list(dp.TRANSFORMS)
+        seen = set()
+        for sub in subs:
+            (_, _, my, mx), = np.argwhere(sub.frames)
+            seen.add((mx, my))
+            assert sub.to_original(0, mx, my) == (0, scale + scale // 2,
+                                                  2 * scale + scale // 2), sub.transform
+        assert len(seen) == len(dp.TRANSFORMS)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -203,6 +196,13 @@ class TestProvenance:
         _, my, mx = np.argwhere(sub.frames[1])[0]
         assert (mx, my) == (15 - 5, 11)
         assert sub.to_original(1, mx, my) == (1, 64 + 4 * 11 + 2, 4 * 5 + 2)
+
+    @pytest.mark.parametrize("x, y", [(-1, 3), (3, -1), (8, 0), (0, 8)])
+    def test_point_outside_frame_rejected(self, x, y):
+        # a negative index would wrap round the frame instead of failing
+        sub = dp.Subsequence(np.zeros((1, 1, 8, 8)), 0, 0, 0, transform="rot90")
+        with pytest.raises(ValueError, match=rf"\({x},{y}\) outside 8x8"):
+            sub.to_original(0, x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,6 @@ class TestGroupActivations:
         patches = pp.group_activations(make_grid(3, [(1, 0, 0, 1)]), 0)
         assert len(patches) == 1
         assert patches[0].members == [(1, 0, 1)]
-        assert patches[0].frame_span == (1, 1)
 
     def test_diagonal_blocks_not_connected(self):
         grid = make_grid(1, [(0, 0, 0, 0), (0, 0, 1, 1)])
