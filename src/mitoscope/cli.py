@@ -9,13 +9,14 @@ Subcommands wire the library into reproducible runs:
     mitoscope eval   --detections D.csv --annotations A.csv --out scores.csv
 
 Every command echoes its effective configuration to an ``effective_config.ini``
-next to its outputs, and is deterministic given config + seed. The env var
-``MITOSCOPE_SEED`` overrides the config seeds. ``detect`` runs its windows
-through ``network.window_maps``, two at a time, and reduces them in window
-order. The unsupervised brightness-rise score maps are computed once per
-spatial window, over the stack its windows are views of, and each window
-with a patch of the classes asked for reads its slice. A frame range that
-is empty, outside the video or shorter than one window is a usage error.
+next to its outputs, and is deterministic given that configuration, whose
+``[training]`` and ``[synth]`` seeds are the only seeds. ``detect`` runs its
+windows through ``network.window_maps``, two at a time, and reduces them in
+window order. The unsupervised brightness-rise score maps are computed once
+per spatial window, over the stack its windows are views of, and each window
+with a patch of the classes asked for reads its slice. A frame range that is
+empty, outside the video or shorter than one window, or a ``[data]`` cut
+whose frame size is not the model's, is a usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -116,8 +116,9 @@ def load_run_config(path=None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
+    # no default section, so a [DEFAULT] header is an unknown section
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="")
     with open(path) as fh:
         try:
             parser.read_file(fh)
@@ -154,15 +155,6 @@ def format_run_config(cfg: RunConfig) -> str:
             lines.append(f"{sf.name} = {getattr(section, sf.name)}")
         lines.append("")
     return "\n".join(lines)
-
-
-def _apply_env_seed(cfg: RunConfig) -> None:
-    seed = os.environ.get("MITOSCOPE_SEED")
-    if seed is not None:
-        try:
-            cfg.training.seed = cfg.synth.seed = int(seed)
-        except ValueError:
-            raise UsageError(f"MITOSCOPE_SEED must be an integer, got {seed!r}") from None
 
 
 def _write_effective_config(cfg: RunConfig, directory) -> None:
@@ -235,7 +227,6 @@ def _parse_range(raw: str | None, count: int, option: str, net_cfg, mode: str) -
 
 def cmd_synth(args) -> int:
     cfg = load_run_config(args.config)
-    _apply_env_seed(cfg)
     video, annotations = dp.synth_generate(cfg.synth)
     out = Path(args.out)
     dp.export_video(video, annotations, out)
@@ -249,6 +240,13 @@ def _window_length(net_cfg, mode) -> int:
     return net_cfg.target_len if mode == "sup" else net_cfg.encoder_len + net_cfg.target_len
 
 
+def _check_frame_size(cfg: RunConfig, model_side: str) -> None:
+    size, ds, m = cfg.data.window_size, cfg.data.downsample, cfg.network.frame_size
+    if size // ds != m:
+        raise UsageError(f"[data] window_size {size} / downsample {ds} = {size // ds}, "
+                         f"not {model_side} frame_size {m}")
+
+
 def _build_dataset(cfg: RunConfig, video, frame_range, mode, augmented):
     return dp.build_subsequences(
         video, frame_range=frame_range, window_size=cfg.data.window_size,
@@ -260,7 +258,7 @@ def cmd_train(args) -> int:
     if args.mode == "sup" and args.annotations is None:
         raise UsageError("supervised training requires --annotations")
     cfg = load_run_config(args.config)
-    _apply_env_seed(cfg)
+    _check_frame_size(cfg, "[network]")
     if args.epochs is not None:
         try:
             cfg.training = replace(cfg.training, epochs=args.epochs)
@@ -310,6 +308,7 @@ def cmd_detect(args) -> int:
         raise UsageError("--division-class applies only to unsupervised checkpoints")
     if k is not None and not 0 <= k < n:
         raise UsageError(f"--division-class {k} out of range for {n} classes")
+    _check_frame_size(cfg, f"checkpoint {args.model}")
     video = dp.load_frames(args.frames)
     frame_range = _parse_range(args.range, video.count, "--range", cfg.network, mode)
     post = cfg.postprocess

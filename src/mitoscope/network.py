@@ -3,7 +3,10 @@ frames, a bidirectional event branch that classifies spatio-temporal events
 into per-block classes, and a decoder that reconstructs the target frames
 from both. Also the supervised variant (event branch + output convolutions,
 no event head), which trains on the target maps of
-``data_pipeline.attach_targets``, and the binary checkpoint format.
+``data_pipeline.attach_targets``, and the binary checkpoint format. Each
+piece has one entry point: ``forward_unsupervised`` runs the encoder and
+decoder itself, and ``event_head`` returns its map with the trace its
+backward reads (``detect_events`` drops the trace).
 
 Event maps are [n,M,M] float arrays: block-constant per grid cell, exactly
 one active class per cell, values in (0,1]. The event branch's backward
@@ -49,10 +52,8 @@ __all__ = [
     "CheckpointError",
     "init_unsupervised",
     "init_supervised",
-    "encode",
     "event_head",
     "detect_events",
-    "reconstruct",
     "forward_unsupervised",
     "backward_unsupervised",
     "supervised_maps",
@@ -195,18 +196,6 @@ def _check_frames(frames, expected_len: int, m: int, what: str):
                 f"{what}: frame {t} has shape {np.shape(fr)}, expected {(1, m, m)}")
 
 
-def encode(model: BranchedModel, frames) -> cl.CellState:
-    """Compress the context frames into the encoder's final (h, c)."""
-    return _encode_traced(model, frames).final
-
-
-def _encode_traced(model: BranchedModel, frames) -> cl.UnrollResult:
-    cfg = model.config
-    _check_frames(frames, cfg.encoder_len, cfg.frame_size, "encode")
-    init = cl.zero_state(cfg.hidden_channels, cfg.frame_size, cfg.frame_size)
-    return cl.unroll(model.encoder, frames, init)
-
-
 @dataclass
 class _HeadTrace:
     conv: object
@@ -216,13 +205,16 @@ class _HeadTrace:
     factor: int
 
 
-def _event_head_traced(hidden, proj_w, proj_b, factor: int):
+def event_head(hidden, proj_w, proj_b, grid_factor: int = 8):
+    """Project hidden channels to class logits, pool to the event grid,
+    softmax across classes, keep only the winner, and replicate back up.
+    Returns the event map and the trace its backward reads."""
     z, t_conv = tc.conv2d_same(hidden, proj_w, proj_b)
-    pooled, t_pool = tc.maxpool2d(z, factor)
+    pooled, t_pool = tc.maxpool2d(z, grid_factor)
     soft, t_soft = tc.channel_softmax(pooled)
     wta, t_wta = tc.channel_wta(soft)
-    y = tc.upsample_nn(wta, factor)
-    return y, _HeadTrace(t_conv, t_pool, t_soft, t_wta, factor)
+    y = tc.upsample_nn(wta, grid_factor)
+    return y, _HeadTrace(t_conv, t_pool, t_soft, t_wta, grid_factor)
 
 
 def _event_head_backward(trace: _HeadTrace, d_y):
@@ -231,13 +223,6 @@ def _event_head_backward(trace: _HeadTrace, d_y):
     d_pool = tc.channel_softmax_backward(trace.softmax, d_soft)
     d_z = tc.maxpool2d_backward(trace.pool, d_pool)
     return tc.conv2d_same_backward(trace.conv, d_z)
-
-
-def event_head(hidden, proj_w, proj_b, grid_factor: int = 8) -> np.ndarray:
-    """Project hidden channels to class logits, pool to the event grid,
-    softmax across classes, keep only the winner, and replicate back up."""
-    y, _ = _event_head_traced(hidden, proj_w, proj_b, grid_factor)
-    return y
 
 
 @dataclass
@@ -316,7 +301,7 @@ def detect_events(model: BranchedModel, frames) -> list:
     a merging recurrence, then the event head on every hidden state."""
     cfg = model.config
     _check_frames(frames, cfg.target_len, cfg.frame_size, "detect_events")
-    return [event_head(h, model.event_proj_w, model.event_proj_b, cfg.grid_factor)
+    return [event_head(h, model.event_proj_w, model.event_proj_b, cfg.grid_factor)[0]
             for h in _merged_hiddens(model, frames)]
 
 
@@ -361,14 +346,6 @@ def _decode_traced(model: BranchedModel, enc_state: cl.CellState, events):
     return frames_out, run, steps
 
 
-def reconstruct(model: BranchedModel, enc_state: cl.CellState, events) -> list:
-    if len(events) != model.config.target_len:
-        raise ValueError(
-            f"reconstruct: expected {model.config.target_len} event maps, got {len(events)}")
-    frames_out, _, _ = _decode_traced(model, enc_state, events)
-    return frames_out
-
-
 # ---------------------------------------------------------------------------
 # unsupervised forward / backward
 # ---------------------------------------------------------------------------
@@ -400,12 +377,12 @@ def forward_unsupervised(model: BranchedModel, frames) -> ReconOutput:
     context = list(frames[:cfg.encoder_len])
     target = list(frames[cfg.encoder_len:])
 
-    enc_run = _encode_traced(model, context)
+    m = cfg.frame_size
+    enc_run = cl.unroll(model.encoder, context, cl.zero_state(cfg.hidden_channels, m, m))
     merge_run, branch = _event_branch(model, target)
     events, head_traces = [], []
     for st in merge_run.states:
-        y, ht = _event_head_traced(st.h, model.event_proj_w, model.event_proj_b,
-                                   cfg.grid_factor)
+        y, ht = event_head(st.h, model.event_proj_w, model.event_proj_b, cfg.grid_factor)
         events.append(y)
         head_traces.append(ht)
 

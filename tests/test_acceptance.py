@@ -238,7 +238,7 @@ def test_criterion_4_event_head_invariants():
         pooled, _ = tc.maxpool2d(z, 8)
         soft, _ = tc.channel_softmax(pooled)
         assert np.abs(soft.sum(axis=0) - 1.0).max() <= 1e-12
-        y = net.event_head(hidden, proj_w, proj_b, grid_factor=8)
+        y, _ = net.event_head(hidden, proj_w, proj_b, grid_factor=8)
         assert net.event_map_ok(y, 8)
         checked += 1
     report(4, checked == 1000,

@@ -86,6 +86,17 @@ class TestRunConfig:
         with pytest.raises(cli.UsageError, match="nonsense"):
             cli.load_run_config(path)
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 5\n",
+                                      "[training]\nseed = 3\n[DEFAULT]\nepochs = 5\n"],
+                             ids=["alone", "beside_training"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser would otherwise drop it, or merge its keys into every
+        # other section
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(cli.UsageError, match=r"unknown config section \[DEFAULT\]"):
+            cli.load_run_config(path)
+
     def test_section_invariants_checked(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[synth]\ndivision_prob = 2.5\n")
@@ -192,13 +203,6 @@ class TestRunConfig:
         assert cli.format_run_config(cfg2) == cli.format_run_config(cfg)
         assert cfg2.network.frame_size == 32
 
-    def test_env_seed_override(self, tmp_path, tiny_config, monkeypatch):
-        monkeypatch.setenv("MITOSCOPE_SEED", "99")
-        out = tmp_path / "video"
-        assert run(["synth", "--config", tiny_config, "--out", str(out)]) == 0
-        echoed = (out / "effective_config.ini").read_text()
-        assert "seed = 99" in echoed
-
     @pytest.mark.parametrize("text, detail", [
         ("frame_size = 32\n", "File contains no section headers"),
         ("[network]\nframe_size = 32\nframe_size = 64\n", "option 'frame_size'"),
@@ -217,13 +221,6 @@ class TestRunConfig:
         path.write_text("[postprocess]\nthreshold = 50%\n")
         assert run(["synth", "--config", str(path), "--out", str(tmp_path / "video")]) == 2
         assert f"{path}: bad value for postprocess.threshold" in capsys.readouterr().err
-
-    def test_non_integer_env_seed_is_usage_error(self, tmp_path, tiny_config, capsys,
-                                                 monkeypatch):
-        monkeypatch.setenv("MITOSCOPE_SEED", "abc")
-        out = tmp_path / "video"
-        assert run(["synth", "--config", tiny_config, "--out", str(out)]) == 2
-        assert "MITOSCOPE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -600,6 +597,24 @@ class TestFrameRanges:
             "error: --train-range 0:4 has 4 frames; unsup windows need 5 "
             "(encoder_len 2 + target_len 3)\n")
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["train", "detect"])
+    def test_frame_size_mismatch_is_usage_error(self, tmp_path, capsys, command):
+        # [data] cuts 16-pixel frames for a 32-pixel model; the frame
+        # directory does not exist, so no frame is read before the check
+        config = tmp_path / "half.ini"
+        config.write_text(TINY_NET.replace("downsample = 1", "downsample = 2"))
+        ckpt = tmp_path / "tiny.ckpt"
+        save_checkpoint(init_unsupervised(cli.load_run_config(config).network), ckpt)
+        args = {"train": ["--mode", "unsup"], "detect": ["--model", str(ckpt)]}[command]
+        model_side = {"train": "[network]", "detect": f"checkpoint {ckpt}"}[command]
+        code = run([command, "--config", str(config), "--frames", str(tmp_path / "missing"),
+                    *args, "--out", str(tmp_path / "out" / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [data] window_size 32 / downsample 2 = 16, not {model_side} "
+            f"frame_size 32\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalCommand:

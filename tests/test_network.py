@@ -33,42 +33,14 @@ def zero_model(model):
 
 
 # ---------------------------------------------------------------------------
-# encode
-# ---------------------------------------------------------------------------
-
-class TestEncode:
-    def test_zero_network_zero_state(self):
-        model = zero_model(net.init_unsupervised(tiny_config(), seed=0))
-        frames = random_frames(np.random.default_rng(0), 2, 8)
-        state = net.encode(model, frames)
-        assert not state.h.any() and not state.c.any()
-
-    def test_hidden_bounded(self, tiny_unsup_model):
-        frames = random_frames(np.random.default_rng(1), 2, 8)
-        state = net.encode(tiny_unsup_model, frames)
-        assert ((state.h > -1) & (state.h < 1)).all()
-
-    def test_matches_direct_unroll(self, tiny_unsup_model):
-        frames = random_frames(np.random.default_rng(2), 2, 8)
-        state = net.encode(tiny_unsup_model, frames)
-        run = cl.unroll(tiny_unsup_model.encoder, frames, cl.zero_state(2, 8, 8))
-        np.testing.assert_array_equal(state.h, run.final.h)
-        np.testing.assert_array_equal(state.c, run.final.c)
-
-    def test_wrong_length_rejected(self, tiny_unsup_model):
-        with pytest.raises(ValueError, match="expected 2 frames"):
-            net.encode(tiny_unsup_model, random_frames(np.random.default_rng(3), 4, 8))
-
-
-# ---------------------------------------------------------------------------
 # event head
 # ---------------------------------------------------------------------------
 
 class TestEventHead:
     def test_zero_hidden_uniform_tie(self):
         n, s = 4, 3
-        y = net.event_head(np.zeros((s, 16, 16)), np.zeros((n, s, 1, 1)),
-                           np.zeros(n), grid_factor=8)
+        y, _ = net.event_head(np.zeros((s, 16, 16)), np.zeros((n, s, 1, 1)),
+                              np.zeros(n), grid_factor=8)
         np.testing.assert_array_equal(y[0], 0.25)
         assert not y[1:].any()
 
@@ -79,7 +51,7 @@ class TestEventHead:
             proj_w[c, c, 0, 0] = 1.0
         hidden = np.zeros((s, 16, 16))
         hidden[3, 2, 10] = 0.9  # block (0,1) favors channel 3
-        y = net.event_head(hidden, proj_w, np.zeros(n), grid_factor=8)
+        y, _ = net.event_head(hidden, proj_w, np.zeros(n), grid_factor=8)
         assert (y[3, 0:8, 8:16] > 0).all()
         assert y[3].sum() == pytest.approx(y[3, 0:8, 8:16].sum())
         # the remaining blocks fall back to the channel-0 tie winner
@@ -91,7 +63,7 @@ class TestEventHead:
             hidden = rng.normal(size=(3, 16, 16))
             proj_w = rng.normal(size=(5, 3, 1, 1))
             proj_b = rng.normal(size=5)
-            y = net.event_head(hidden, proj_w, proj_b, grid_factor=8)
+            y, _ = net.event_head(hidden, proj_w, proj_b, grid_factor=8)
             assert net.event_map_ok(y, 8)
 
     def test_softmax_sums_inside_head(self):
@@ -144,42 +116,6 @@ class TestDetectEvents:
 
 
 # ---------------------------------------------------------------------------
-# reconstruct
-# ---------------------------------------------------------------------------
-
-class TestReconstruct:
-    def test_zero_model_outputs_half(self):
-        model = zero_model(net.init_unsupervised(tiny_config(), seed=0))
-        events = [np.zeros((2, 8, 8))] * 3
-        frames = net.reconstruct(model, cl.zero_state(2, 8, 8), events)
-        for f in frames:
-            np.testing.assert_array_equal(f, 0.5)
-
-    def test_outputs_in_unit_interval(self, tiny_unsup_model):
-        rng = np.random.default_rng(10)
-        events = [rng.uniform(0, 1, (2, 8, 8)) for _ in range(3)]
-        state = cl.CellState(rng.uniform(-0.5, 0.5, (2, 8, 8)),
-                             rng.uniform(-0.5, 0.5, (2, 8, 8)))
-        for f in net.reconstruct(tiny_unsup_model, state, events):
-            assert ((f > 0) & (f < 1)).all()
-
-    def test_matches_manual_composition(self, tiny_unsup_model):
-        model = tiny_unsup_model
-        rng = np.random.default_rng(11)
-        events = [rng.uniform(0, 1, (2, 8, 8)) for _ in range(3)]
-        state = cl.CellState(rng.uniform(-0.5, 0.5, (2, 8, 8)),
-                             rng.uniform(-0.5, 0.5, (2, 8, 8)))
-        frames = net.reconstruct(model, state, events)
-
-        run = cl.unroll(model.decoder, [np.zeros((1, 8, 8))] * 3, state)
-        for t in range(3):
-            merged = np.concatenate([run.states[t].h, events[t]], axis=0)
-            a, _ = tc.conv2d_same(merged, model.recon_w, model.recon_b)
-            b, _ = tc.conv2d_same(np.tanh(a), model.out_w, model.out_b)
-            np.testing.assert_allclose(frames[t], tc.sigmoid(b), atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
 # unsupervised forward / backward
 # ---------------------------------------------------------------------------
 
@@ -198,6 +134,22 @@ class TestUnsupervised:
             assert ((f > 0) & (f < 1)).all()
         for y in out.events:
             assert net.event_map_ok(y, 8)
+
+    def test_matches_manual_composition(self, tiny_unsup_model):
+        # the encoder unrolled over the context, the decoder from its final
+        # state over zero frames, each decoder state fused with its event map
+        # through the two output convolutions
+        model = tiny_unsup_model
+        frames = random_frames(np.random.default_rng(11), 5, 8)
+        out = net.forward_unsupervised(model, frames)
+
+        enc = cl.unroll(model.encoder, frames[:2], cl.zero_state(2, 8, 8))
+        dec = cl.unroll(model.decoder, [np.zeros((1, 8, 8))] * 3, enc.final)
+        for t in range(3):
+            merged = np.concatenate([dec.states[t].h, out.events[t]], axis=0)
+            a, _ = tc.conv2d_same(merged, model.recon_w, model.recon_b)
+            b, _ = tc.conv2d_same(np.tanh(a), model.out_w, model.out_b)
+            np.testing.assert_allclose(out.frames[t], tc.sigmoid(b), rtol=0, atol=1e-14)
 
     def test_length_mismatch_rejected(self, tiny_unsup_model):
         with pytest.raises(ValueError, match="expected 5 frames"):

@@ -22,7 +22,7 @@ def wta_maps(rng, t, n, m=32, g=8):
     """Winner-take-all event maps from the event head on random hidden
     states, as ``detect_events`` returns them."""
     w, b = rng.normal(size=(n, 3, 1, 1)), rng.normal(size=n)
-    return [net.event_head(rng.normal(size=(3, m, m)), w, b, g) for _ in range(t)]
+    return [net.event_head(rng.normal(size=(3, m, m)), w, b, g)[0] for _ in range(t)]
 
 
 # ---------------------------------------------------------------------------
