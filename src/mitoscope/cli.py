@@ -7,8 +7,12 @@ Subcommands wire the library into reproducible runs:
     mitoscope detect --model model.ckpt --frames DIR [--range A:B]
                      [--division-class K] --out detections.csv
     mitoscope eval   --detections D.csv --annotations A.csv --out scores.csv
+                     --hist hist.csv
 
-Every command echoes its effective configuration to an ``effective_config.ini``
+A run's outputs are its checkpoint and CSV files: ``train`` writes
+``loss.csv`` (``epoch,mean_loss``) next to the checkpoint, and ``eval`` its
+scores and the ``--hist`` timing histogram (``dframe,count``). Every
+command echoes its effective configuration to an ``effective_config.ini``
 next to its outputs, and is deterministic given that configuration, whose
 ``[training]`` and ``[synth]`` seeds are the only seeds. ``detect`` runs its
 windows through ``network.window_maps``, two at a time, and reduces them in
@@ -34,7 +38,6 @@ from . import data_pipeline as dp
 from . import evaluation as ev
 from . import network as net
 from . import postprocess as pp
-from . import plots
 from .training import TrainConfig, train
 
 __all__ = ["RunConfig", "DataConfig", "PostprocessConfig", "EvalConfig",
@@ -166,12 +169,16 @@ def _write_effective_config(cfg: RunConfig, directory) -> None:
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def write_detections(detections, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame", "x", "y", "class", "score"])
-        for d in detections:
-            writer.writerow([d.frame, d.x, d.y, d.class_id, repr(d.score)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_detections(detections, path) -> None:
+    _write_csv(path, ["frame", "x", "y", "class", "score"],
+               ([d.frame, d.x, d.y, d.class_id, repr(d.score)] for d in detections))
 
 
 def load_detections(path) -> list:
@@ -286,13 +293,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     net.save_checkpoint(model, out)
-    loss_csv = out.parent / "loss.csv"
-    with open(loss_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for i, loss in enumerate(losses):
-            writer.writerow([i + 1, repr(loss)])
-    plots.write_png_gray(out.parent / "loss.png", plots.render_line_chart(losses))
+    _write_csv(out.parent / "loss.csv", ["epoch", "mean_loss"],
+               ([i + 1, repr(loss)] for i, loss in enumerate(losses)))
     _write_effective_config(cfg, out.parent)
     print(f"trained {mode} model on {len(subs)} subsequences; checkpoint at {out}")
     return 0
@@ -393,15 +395,8 @@ def cmd_eval(args) -> int:
             print(f"th={th}: precision {scores.precision:.3f} recall {scores.recall:.3f} "
                   f"f1 {scores.f1:.3f} (tp={scores.tp} fp={scores.fp} fn={scores.fn})")
 
-    hist = ev.timing_histogram(results[max(thresholds)])
     Path(args.hist).parent.mkdir(parents=True, exist_ok=True)
-    with open(args.hist, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dframe", "count"])
-        for dframe, count in hist:
-            writer.writerow([dframe, count])
-    plots.write_png_gray(Path(args.hist).with_suffix(".png"),
-                         plots.render_bar_chart([c for _, c in hist]))
+    _write_csv(args.hist, ["dframe", "count"], ev.timing_histogram(results[max(thresholds)]))
     _write_effective_config(cfg, out.parent)
     return 0
 
@@ -463,6 +458,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, net.CheckpointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc}); sizes are set by [network] hidden_channels, "
+              "event_classes, frame_size and [synth] frame_size, frame_count", file=sys.stderr)
         return 1
 
 

@@ -633,10 +633,12 @@ def _read_checkpoint(fh):
     except ValueError as exc:
         raise CheckpointError(f"bad config: {exc}") from exc
 
-    if kind == "unsupervised":
-        model = init_unsupervised(config, seed=0)
-    else:
-        model = init_supervised(config, seed=0)
+    init = init_unsupervised if kind == "unsupervised" else init_supervised
+    try:
+        model = init(config, seed=0)
+    except MemoryError as exc:
+        raise CheckpointError(f"{kind} model of {config} does not fit in memory: "
+                              f"{exc}") from None
     expected = dict(model.named_params())
     # name length and rank come from the file: bound both before reading
     # what they size

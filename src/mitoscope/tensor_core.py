@@ -13,7 +13,7 @@ output; hand the trace plus the upstream gradient to the matching
 
 ``conv2d_same`` and its backward take one of two paths, chosen from the
 kernel shape alone: Winograd minimal filtering F(4x4,5x5) for a 5x5 kernel
-with at least 16 input and 16 output channels, and wide-row im2col for
+with at least 8 input and 8 output channels, and wide-row im2col for
 every other shape. Both keep only the input and the kernel in
 ``Conv2dTrace``, and the backward recomputes what it needs from them:
 keeping im2col columns would hold C_in*kH*kW*H*Wp floats per call until
@@ -37,21 +37,26 @@ as one GEMM each, and the 64 elementwise products over channels are 64
 GEMMs. The backward applies the adjoint of each stage. Outputs differ
 from im2col by rounding only (relative 1e-14 on the paper's shapes).
 
-Why the rule sits at 16 channels: the transforms cost O(C*H*W) per call
+Why the rule sits at 8 channels: the transforms cost O(C*H*W) per call
 against the GEMMs' O(C_in*C_out*H*W), so the gain grows with the channel
 counts. Timed per call at 64x64 on one BLAS thread and one lane
 (``tools/conv_paths.py``, ``BENCH_conv_paths.json``), Winograd forward plus
-backward is 2.7x slower at 1->16, about even at 4->16 and 6->24, 1.5x
-faster at 16->16 and 2.6x at 64->128. Its forward alone loses on 4->16,
-6->24, 8->16 and 8->32; from 12->12 up both passes win on every shape
-measured. Its halves on two lanes take forward plus backward from 47.4 to
-25.1 ms at 33->128, from 102.3 to 53.4 ms at 96->128 and from 9.9 to 7.1 ms
-at 18->24. A ConvLSTM layer convolves [x; h_prev] in one call,
-(C+S)->4S (see ``conv_lstm``). At S=32, the paper's scale, its 33->128 and
-96->128 take Winograd, as do the 48->32 and 32->32 output convs; of the
-model's convs only the 1x1 ones stay on im2col. At desk scale the fused
-5->16, 7->24 and 12->16 and every output conv stay on im2col; the S=6
-event merge's 18->24 takes Winograd, 1.5x faster than im2col on one lane.
+backward is 2.7x slower at 1->16, about even at 4->16 and 6->24, 1.2x
+faster at 8->8 and 8->16, 1.4x at 12->12, 1.5x at 16->16 and 2.6x at
+64->128. Its forward alone loses on 4->16, 6->24, 8->16 and 8->32; from
+12->12 up both passes win on every shape measured. Below 8 the rounding
+rules it out: where the exact gradient is zero, on frames no larger than
+the kernel, Winograd gives about 1e-11, and a rule at 6 or 1 failed the
+finite-difference bounds. Its halves on two lanes take forward plus
+backward from 47.4 to 25.1 ms at 33->128, from 102.3 to 53.4 ms at 96->128
+and from 9.9 to 7.1 ms at 18->24. A ConvLSTM layer convolves [x; h_prev]
+in one call, (C+S)->4S (see ``conv_lstm``). At S=32, the paper's scale,
+its 33->128 and 96->128 take Winograd, as do the 48->32 and 32->32 output
+convs; of the model's convs only the 1x1 ones stay on im2col. At desk
+scale the fused 5->16 and 7->24 and every output conv stay on im2col; the
+event merges' 12->16 (S=4) and 18->24 (S=6) take Winograd. On im2col the
+12->16 GEMM rounded differently on one OpenBLAS thread than on two; on
+Winograd an S=4 sample's gradients are bit-identical at both counts.
 """
 
 from __future__ import annotations
@@ -131,7 +136,7 @@ def _im2col_wide(xf: np.ndarray, kh: int, kw: int, h: int, wp: int) -> np.ndarra
 
 # Winograd F(4x4,5x5): 4x4 output tiles from 8x8 input tiles at stride 4.
 # The threshold is explained in the module notes.
-_WINOGRAD_MIN_CHANNELS = 16
+_WINOGRAD_MIN_CHANNELS = 8
 
 
 def _winograd_transforms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,7 +322,7 @@ def conv2d_same(x, kernel, bias) -> tuple[np.ndarray, Conv2dTrace]:
     """Same-padded cross-correlation of [C_in,H,W] with [C_out,C_in,kH,kW].
 
     Zero padding of (k-1)/2 keeps the spatial dims; kernel dims must be odd.
-    A 5x5 kernel with C_in and C_out both at least 16 runs Winograd
+    A 5x5 kernel with C_in and C_out both at least 8 runs Winograd
     F(4x4,5x5), every other shape wide-row im2col (see the module notes).
     """
     x = _as64(x)

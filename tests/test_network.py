@@ -367,6 +367,35 @@ class TestLaneChoice:
         assert set(threads.values()) == {threading.get_ident()}
 
 
+# Every gradient of one S=4 unsup sample at the acceptance recipe. Its merge
+# convolves 12->16 channels, the desk shape nearest the Winograd rule; on
+# im2col, OpenBLAS split that GEMM differently on one thread than on two.
+GRADIENT_DIGEST = """import hashlib
+from mitoscope import data_pipeline as dp, network as net
+video, _ = dp.synth_generate(dp.SyntheticConfig(seed=0, division_prob=0.1, blob_count=10,
+                                                blob_radius=3.0))
+sub = dp.build_subsequences(video, frame_range=(0, 40), window_size=64, window_step=64,
+                            downsample=1, length=15, temporal_step=2)[0]
+cfg = net.NetworkConfig(frame_size=64, hidden_channels=4, event_classes=4, encoder_len=5,
+                        target_len=10)
+model = net.init_unsupervised(cfg, seed=0)
+grads = net.backward_unsupervised(model, net.forward_unsupervised(model, list(sub.frames)))
+digest = hashlib.sha256()
+for name, arr in grads.named_params():
+    digest.update(name.encode() + arr.tobytes())
+print(digest.hexdigest())"""
+
+
+def test_unsup_gradients_do_not_depend_on_blas_threads():
+    src = str(Path(net.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    digests = {n: subprocess.run([sys.executable, "-c", GRADIENT_DIGEST],
+                                 env=dict(env, OPENBLAS_NUM_THREADS=n), capture_output=True,
+                                 text=True, check=True).stdout
+               for n in ("1", "2")}
+    assert digests["1"] == digests["2"]
+
+
 class TestTwoLanes:
     @pytest.fixture(autouse=True)
     def two_lanes(self, monkeypatch):

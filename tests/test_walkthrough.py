@@ -11,6 +11,7 @@ from pathlib import Path
 from mitoscope import cli
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "synth64.ini")
+TRAIN_OUTPUTS = {"model.ckpt", "loss.csv", "effective_config.ini"}
 
 
 def test_readme_walkthrough(tmp_path, capsys):
@@ -24,8 +25,7 @@ def test_readme_walkthrough(tmp_path, capsys):
         assert cli.main(["train", "--config", CONFIG, "--frames", str(video), *extra,
                          "--mode", mode, "--train-range", "0:16", "--epochs", "1",
                          "--out", str(ckpt)]) == 0
-        for name in ("model.ckpt", "loss.csv", "loss.png", "effective_config.ini"):
-            assert (runs / mode / name).is_file(), (mode, name)
+        assert {p.name for p in (runs / mode).iterdir()} == TRAIN_OUTPUTS, mode
 
     detect = ["detect", "--config", CONFIG, "--frames", str(video), "--range", "40:60"]
     sup_dets = runs / "sup" / "detections.csv"
@@ -50,4 +50,5 @@ def test_readme_walkthrough(tmp_path, capsys):
     with open(scores, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["th"] for row in rows] == ["1", "3"]
-    assert hist.is_file() and hist.with_suffix(".png").is_file()
+    assert {p.name for p in scores.parent.iterdir()} == TRAIN_OUTPUTS | {
+        "detections.csv", "scores.csv", "hist.csv"}
