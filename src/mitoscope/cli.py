@@ -14,7 +14,10 @@ A run's outputs are its checkpoint and CSV files: ``train`` writes
 scores and the ``--hist`` timing histogram (``dframe,count``). Every
 command echoes its effective configuration to an ``effective_config.ini``
 next to its outputs, and is deterministic given that configuration, whose
-``[training]`` and ``[synth]`` seeds are the only seeds. ``detect`` runs its
+``[training]`` and ``[synth]`` seeds are the only seeds. The configuration
+has four sections, ``[network]``, ``[training]``, ``[data]`` and
+``[synth]``; the detection rule and the match criterion are the defaults of
+the ``postprocess`` and ``evaluation`` functions. ``detect`` runs its
 windows through ``network.window_maps``, two at a time, and reduces them in
 window order. The unsupervised brightness-rise score maps are computed once
 per spatial window, over the stack its windows are views of, and each window
@@ -40,8 +43,7 @@ from . import network as net
 from . import postprocess as pp
 from .training import TrainConfig, train
 
-__all__ = ["RunConfig", "DataConfig", "PostprocessConfig", "EvalConfig",
-           "load_run_config", "format_run_config", "main"]
+__all__ = ["RunConfig", "DataConfig", "load_run_config", "format_run_config", "main"]
 
 
 class UsageError(ValueError):
@@ -64,37 +66,11 @@ class DataConfig:
 
 
 @dataclass
-class PostprocessConfig:
-    lookahead: int = 2
-    disc_radius: float = 5.0
-    threshold: float = 0.7
-    merge_spatial: float = 10.0
-    merge_temporal: int = 2
-
-    def __post_init__(self):
-        dp.check_fields(self, {"lookahead": (lambda v: v >= 1, ">= 1"),
-                                "disc_radius": dp.FINITE_NONNEG,
-                                "threshold": (lambda v: 0 < v < 1, "in (0,1)"),
-                                "merge_spatial": dp.FINITE_NONNEG,
-                                "merge_temporal": dp.FINITE_NONNEG})
-
-
-@dataclass
-class EvalConfig:
-    spatial_th: float = 10.0
-
-    def __post_init__(self):
-        dp.check_fields(self, {"spatial_th": dp.FINITE_NONNEG})
-
-
-@dataclass
 class RunConfig:
     network: net.NetworkConfig = field(default_factory=net.NetworkConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
     synth: dp.SyntheticConfig = field(default_factory=dp.SyntheticConfig)
-    postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
-    evaluation: EvalConfig = field(default_factory=EvalConfig)
 
 
 def _parse_value(raw: str, default):
@@ -313,7 +289,6 @@ def cmd_detect(args) -> int:
     _check_frame_size(cfg, f"checkpoint {args.model}")
     video = dp.load_frames(args.frames)
     frame_range = _parse_range(args.range, video.count, "--range", cfg.network, mode)
-    post = cfg.postprocess
     subs = _build_dataset(cfg, video, frame_range, mode, augmented=False)
 
     # Windows run in pairs, so two windows' maps are live at once. Each
@@ -333,18 +308,18 @@ def cmd_detect(args) -> int:
     stack = stack_maps = None
     for sub, maps in zip(subs, net.window_maps(model, windows)):
         if mode == "sup":
-            detections += pp.threshold_detections(maps, sub, post.threshold)
+            detections += pp.threshold_detections(maps, sub)
             continue
         grid = pp.class_grid(maps, g)
         if not np.isin(grid, classes).any():
             continue
         if sub.frames.base is not stack:
             stack = sub.frames.base
-            stack_maps = pp.disc_mean_maps(stack, post.lookahead, post.disc_radius)
+            stack_maps = pp.disc_mean_maps(stack)
         start = sub.t0 - frame_range[0]
         dets, skips = pp.window_detections(grid, sub, classes,
                                            stack_maps[start:start + len(sub.frames)],
-                                           post.lookahead, g, frame_offset=enc)
+                                           grid_factor=g, frame_offset=enc)
         detections += dets
         skipped += skips
 
@@ -356,9 +331,9 @@ def cmd_detect(args) -> int:
         return 2
     if skipped:
         print(f"skipped {skipped} patches too close to a window end for the "
-              f"{post.lookahead}-frame lookahead")
+              f"{pp.LOOKAHEAD}-frame lookahead")
 
-    merged = pp.merge_global(detections, post.merge_spatial, post.merge_temporal)
+    merged = pp.merge_global(detections)
     for d in merged:
         if not (0 <= d.x < video.width and 0 <= d.y < video.height):
             raise RuntimeError(f"detection outside video bounds: {d}")
@@ -379,22 +354,18 @@ def cmd_eval(args) -> int:
         if th < 0:
             raise UsageError(f"--th {th} must be >= 0")
 
+    results, rows = {}, []
+    for th in thresholds:
+        results[th] = ev.match(detections, annotations, temporal_th=th)
+        scores = ev.prf1(results[th])
+        rows.append([th, f"{scores.precision:.6f}", f"{scores.recall:.6f}",
+                     f"{scores.f1:.6f}", scores.tp, scores.fp, scores.fn])
+        print(f"th={th}: precision {scores.precision:.3f} recall {scores.recall:.3f} "
+              f"f1 {scores.f1:.3f} (tp={scores.tp} fp={scores.fp} fn={scores.fn})")
+
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    results = {}
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["th", "precision", "recall", "f1", "tp", "fp", "fn"])
-        for th in thresholds:
-            result = ev.match(detections, annotations,
-                              spatial_th=cfg.evaluation.spatial_th, temporal_th=th)
-            scores = ev.prf1(result)
-            results[th] = result
-            writer.writerow([th, f"{scores.precision:.6f}", f"{scores.recall:.6f}",
-                             f"{scores.f1:.6f}", scores.tp, scores.fp, scores.fn])
-            print(f"th={th}: precision {scores.precision:.3f} recall {scores.recall:.3f} "
-                  f"f1 {scores.f1:.3f} (tp={scores.tp} fp={scores.fp} fn={scores.fn})")
-
+    _write_csv(out, ["th", "precision", "recall", "f1", "tp", "fp", "fn"], rows)
     Path(args.hist).parent.mkdir(parents=True, exist_ok=True)
     _write_csv(args.hist, ["dframe", "count"], ev.timing_histogram(results[max(thresholds)]))
     _write_effective_config(cfg, out.parent)

@@ -41,7 +41,6 @@ __all__ = [
     "block_mean",
     "check_windowing",
     "check_fields",
-    "FINITE_NONNEG",
     "transform_frames",
     "augment",
     "build_subsequences",
@@ -317,9 +316,6 @@ def check_fields(cfg, rules: dict) -> None:
             raise ValueError(f"{name} must be {wording}, got {value}")
 
 
-FINITE_NONNEG = (lambda v: 0 <= v < math.inf, "finite and >= 0")
-
-
 def build_subsequences(video: VideoSource, frame_range=None, window_size: int = 256,
                        window_step: int = 128, downsample: int = 4, length: int = 15,
                        temporal_step: int = 1, augmented: bool = False) -> list:
@@ -452,8 +448,10 @@ def save_annotations(points, path) -> None:
 # synthetic dividing-blob videos
 # ---------------------------------------------------------------------------
 
-# blob brightness at rest and at a division's peak, and the background level
+# blob brightness at rest and at a division's peak, the background level, and
+# the standard deviation in pixels of a resting blob's step per frame
 SYNTH_BRIGHTNESS_BASE, SYNTH_BRIGHTNESS_PEAK, SYNTH_BACKGROUND = 0.4, 0.9, 0.03
+SYNTH_DRIFT_SPEED = 0.6
 
 
 @dataclass
@@ -462,7 +460,6 @@ class SyntheticConfig:
     frame_count: int = 80
     blob_count: int = 7
     blob_radius: float = 4.0
-    drift_speed: float = 0.6
     division_prob: float = 0.05
     seed: int = 0
 
@@ -470,7 +467,6 @@ class SyntheticConfig:
         check_fields(self, {"frame_count": (lambda v: v >= 1, ">= 1"),
                             "blob_count": (lambda v: v >= 0, ">= 0"),
                             "blob_radius": (lambda v: 0 < v < math.inf, "finite and > 0"),
-                            "drift_speed": FINITE_NONNEG,
                             "division_prob": (lambda v: 0 <= v <= 1, "in [0,1]")})
         low = math.ceil(2 * self.margin) + 1  # room for a blob centre between the margins
         check_fields(self, {"frame_size": (lambda v: v >= low,
@@ -550,9 +546,9 @@ def synth_generate(cfg: SyntheticConfig):
         born = []
         for b in blobs:
             if b.phase == -1:
-                b.x = float(np.clip(b.x + rng.normal(0, cfg.drift_speed),
+                b.x = float(np.clip(b.x + rng.normal(0, SYNTH_DRIFT_SPEED),
                                     margin, size - 1 - margin))
-                b.y = float(np.clip(b.y + rng.normal(0, cfg.drift_speed),
+                b.y = float(np.clip(b.y + rng.normal(0, SYNTH_DRIFT_SPEED),
                                     margin, size - 1 - margin))
                 if b.fade > 0:
                     b.fade -= 1

@@ -619,6 +619,8 @@ def _read_checkpoint(fh):
         if "=" not in text:
             raise CheckpointError(f"malformed config line: {text!r}")
         key, value = text.split("=", 1)
+        if key in cfg_items:
+            raise CheckpointError(f"duplicate config key '{key}'")
         cfg_items[key] = value
 
     kind = cfg_items.pop("kind", None)

@@ -34,6 +34,9 @@ __all__ = [
     "disc_mean_maps",
 ]
 
+LOOKAHEAD = 2  # frames from t to the frame whose brightness rise scores t
+DISC_RADIUS = 5.0  # radius in model pixels of the disc that score averages over
+
 
 @dataclass
 class Detection:
@@ -105,7 +108,8 @@ def disc_mask(radius: float) -> np.ndarray:
     return (yy ** 2 + xx ** 2 <= radius ** 2).astype(np.float64)
 
 
-def disc_mean_maps(frames: np.ndarray, lookahead: int, radius: float) -> np.ndarray:
+def disc_mean_maps(frames: np.ndarray, lookahead: int = LOOKAHEAD,
+                   radius: float = DISC_RADIUS) -> np.ndarray:
     """Per-frame maps of the disc-averaged intensity change from t to
     t+lookahead. The divisor is the full disc area; pixels beyond the
     frame border contribute zero change. The last ``lookahead`` maps are
@@ -124,8 +128,8 @@ def disc_mean_maps(frames: np.ndarray, lookahead: int, radius: float) -> np.ndar
     return maps
 
 
-def locate_centroid(sub, patch: PatchSequence, score_maps: np.ndarray, lookahead: int = 2,
-                    grid_factor: int = 8, frame_offset: int = 0):
+def locate_centroid(sub, patch: PatchSequence, score_maps: np.ndarray,
+                    lookahead: int = LOOKAHEAD, grid_factor: int = 8, frame_offset: int = 0):
     """Detection for one patch: the (pixel, frame) inside the patch's
     blocks with the highest disc-mean intensity rise after ``lookahead``
     frames, mapped to original coordinates. ``score_maps`` holds those
@@ -209,7 +213,7 @@ def merge_global(detections, spatial: float = 10.0, temporal: int = 2) -> list:
     return seeds
 
 
-def window_detections(grid, sub, classes, score_maps: np.ndarray, lookahead: int = 2,
+def window_detections(grid, sub, classes, score_maps: np.ndarray, lookahead: int = LOOKAHEAD,
                       grid_factor: int = 8, frame_offset: int = 0) -> tuple:
     """Detections of every patch of the given classes in one window's class
     grid, in class then patch order, plus the count of patches skipped as

@@ -41,15 +41,15 @@ Why the rule sits at 8 channels: the transforms cost O(C*H*W) per call
 against the GEMMs' O(C_in*C_out*H*W), so the gain grows with the channel
 counts. Timed per call at 64x64 on one BLAS thread and one lane
 (``tools/conv_paths.py``, ``BENCH_conv_paths.json``), Winograd forward plus
-backward is 2.7x slower at 1->16, about even at 4->16 and 6->24, 1.2x
-faster at 8->8 and 8->16, 1.4x at 12->12, 1.5x at 16->16 and 2.6x at
-64->128. Its forward alone loses on 4->16, 6->24, 8->16 and 8->32; from
-12->12 up both passes win on every shape measured. Below 8 the rounding
-rules it out: where the exact gradient is zero, on frames no larger than
-the kernel, Winograd gives about 1e-11, and a rule at 6 or 1 failed the
-finite-difference bounds. Its halves on two lanes take forward plus
-backward from 47.4 to 25.1 ms at 33->128, from 102.3 to 53.4 ms at 96->128
-and from 9.9 to 7.1 ms at 18->24. A ConvLSTM layer convolves [x; h_prev]
+backward is 2.6x slower at 1->16, about even at 4->16 and 6->24, 1.3x
+faster at 8->8 and 8->16, 1.4x at 12->12, 1.6x at 16->16 and 2.6x at
+64->128. Its forward alone loses on 4->16 and 6->24 and is about even at
+8->32; from 12->12 up both passes win on every shape measured. Below 8
+the rounding rules it out: where the exact gradient is zero, on frames no
+larger than the kernel, Winograd gives about 1e-11, and a rule at 6 or 1
+failed the finite-difference bounds. Its halves on two lanes take forward plus
+backward from 38.8 to 23.7 ms at 33->128, from 77.7 to 49.2 ms at 96->128
+and from 7.4 to 5.5 ms at 18->24. A ConvLSTM layer convolves [x; h_prev]
 in one call, (C+S)->4S (see ``conv_lstm``). At S=32, the paper's scale,
 its 33->128 and 96->128 take Winograd, as do the 48->32 and 32->32 output
 convs; of the model's convs only the 1x1 ones stay on im2col. At desk

@@ -24,26 +24,22 @@ from . import network as net
 
 __all__ = ["TrainConfig", "rmsprop_step", "train", "grad_norm"]
 
+DECAY_RATE, EPSILON = 0.9, 1e-8  # rho and eps of the update above
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    decay_rate: float = 0.9
-    epsilon: float = 1e-8
     epochs: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.decay_rate < 1.0):
-            raise ValueError(f"decay_rate must be in (0,1), got {self.decay_rate}")
         # zero is allowed so a null update can be expressed; a NaN or infinite
         # rate would turn every weight into NaN on the first step
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 def rmsprop_step(params: dict, grads: dict, acc: dict, cfg: TrainConfig) -> None:
@@ -56,9 +52,9 @@ def rmsprop_step(params: dict, grads: dict, acc: dict, cfg: TrainConfig) -> None
                 f"rmsprop_step: gradient shape {g.shape} != parameter shape "
                 f"{theta.shape} for {name}")
         a = acc[name]
-        a *= cfg.decay_rate
-        a += (1.0 - cfg.decay_rate) * g * g
-        theta -= cfg.learning_rate * g / (np.sqrt(a) + cfg.epsilon)
+        a *= DECAY_RATE
+        a += (1.0 - DECAY_RATE) * g * g
+        theta -= cfg.learning_rate * g / (np.sqrt(a) + EPSILON)
 
 
 def grad_norm(grads: dict) -> float:

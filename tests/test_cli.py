@@ -73,7 +73,6 @@ class TestRunConfig:
         assert cfg.network.hidden_channels == 32
         assert cfg.network.event_classes == 16
         assert cfg.training.learning_rate == 1e-3
-        assert cfg.training.decay_rate == 0.9
         assert cfg.training.epochs == 100
         assert cfg.data.window_size == 256
 
@@ -131,36 +130,36 @@ class TestRunConfig:
                                  r">= 1, got 0"):
             cli.load_run_config(path)
 
-    @pytest.mark.parametrize("section, line, message", [
-        ("postprocess", "lookahead = -1", "lookahead must be >= 1, got -1"),
-        ("postprocess", "lookahead = 0", "lookahead must be >= 1, got 0"),
-        ("postprocess", "disc_radius = -1", "disc_radius must be finite and >= 0, got -1.0"),
-        ("postprocess", "disc_radius = inf", "disc_radius must be finite and >= 0, got inf"),
-        ("postprocess", "threshold = nan", r"threshold must be in \(0,1\), got nan"),
-        ("postprocess", "threshold = 1", r"threshold must be in \(0,1\), got 1.0"),
-        ("postprocess", "threshold = 0", r"threshold must be in \(0,1\), got 0.0"),
-        ("postprocess", "merge_spatial = nan",
-         "merge_spatial must be finite and >= 0, got nan"),
-        ("postprocess", "merge_temporal = -3",
-         "merge_temporal must be finite and >= 0, got -3"),
-        ("evaluation", "spatial_th = -0.5", "spatial_th must be finite and >= 0, got -0.5"),
-        ("evaluation", "spatial_th = inf", "spatial_th must be finite and >= 0, got inf"),
-    ])
-    def test_postprocess_and_evaluation_values_checked(self, tmp_path, section, line,
-                                                       message):
-        path = tmp_path / "bad.ini"
-        path.write_text(f"[{section}]\n{line}\n")
-        with pytest.raises(cli.UsageError,
-                           match=rf"bad\.ini: bad \[{section}\] section: {message}"):
-            cli.load_run_config(path)
+    @pytest.mark.parametrize("text, message", [
+        ("[training]\ndecay_rate = 0.9\n", "unknown key 'decay_rate' in [training]"),
+        ("[training]\nepsilon = 1e-08\n", "unknown key 'epsilon' in [training]"),
+        ("[synth]\ndrift_speed = 0.6\n", "unknown key 'drift_speed' in [synth]"),
+        ("[postprocess]\nlookahead = 2\n", "unknown config section [postprocess]"),
+        ("[postprocess]\ndisc_radius = 5.0\n", "unknown config section [postprocess]"),
+        ("[postprocess]\nthreshold = 0.7\n", "unknown config section [postprocess]"),
+        ("[postprocess]\nmerge_spatial = 10.0\n", "unknown config section [postprocess]"),
+        ("[postprocess]\nmerge_temporal = 2\n", "unknown config section [postprocess]"),
+        ("[evaluation]\nspatial_th = 10.0\n", "unknown config section [evaluation]"),
+        ("[postprocess]\n", "unknown config section [postprocess]"),
+        ("[evaluation]\n", "unknown config section [evaluation]"),
+    ], ids=["decay_rate", "epsilon", "drift_speed", "lookahead", "disc_radius", "threshold",
+            "merge_spatial", "merge_temporal", "spatial_th", "postprocess", "evaluation"])
+    def test_constant_keys_and_sections_are_usage_errors(self, tmp_path, capsys, text,
+                                                         message):
+        # these values are constants of the code, so a config that still sets
+        # one, even to its value, is refused rather than silently ignored
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        out = tmp_path / "video"
+        assert run(["synth", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("frame_count = 0", "frame_count must be >= 1, got 0"),
         ("blob_count = -2", "blob_count must be >= 0, got -2"),
         ("blob_radius = 0", "blob_radius must be finite and > 0, got 0.0"),
         ("blob_radius = nan", "blob_radius must be finite and > 0, got nan"),
-        ("drift_speed = -1", "drift_speed must be finite and >= 0, got -1.0"),
-        ("drift_speed = inf", "drift_speed must be finite and >= 0, got inf"),
         ("frame_size = 16", "frame_size must be >= 17 for blob_radius 4.0, got 16"),
     ])
     def test_synth_values_checked(self, tmp_path, line, message):
@@ -168,13 +167,6 @@ class TestRunConfig:
         path.write_text(f"[synth]\n{line}\n")
         with pytest.raises(cli.UsageError, match=rf"bad\.ini: bad \[synth\] section: {message}"):
             cli.load_run_config(path)
-
-    def test_postprocess_and_evaluation_bounds_accepted(self, tmp_path):
-        path = tmp_path / "edge.ini"
-        path.write_text("[postprocess]\nlookahead = 1\ndisc_radius = 0\nmerge_spatial = 0\n"
-                        "merge_temporal = 0\n[evaluation]\nspatial_th = 0\n")
-        cfg = cli.load_run_config(path)
-        assert (cfg.postprocess.disc_radius, cfg.evaluation.spatial_th) == (0.0, 0.0)
 
     def test_readme_configs_load(self):
         paths = set(re.findall(r"--config (\S+)", (REPO / "README.md").read_text()))
@@ -221,9 +213,9 @@ class TestRunConfig:
     def test_percent_in_value_is_usage_error(self, tmp_path, capsys):
         # no interpolation: a '%' reaches the value check like any other text
         path = tmp_path / "pct.ini"
-        path.write_text("[postprocess]\nthreshold = 50%\n")
+        path.write_text("[training]\nlearning_rate = 50%\n")
         assert run(["synth", "--config", str(path), "--out", str(tmp_path / "video")]) == 2
-        assert f"{path}: bad value for postprocess.threshold" in capsys.readouterr().err
+        assert f"{path}: bad value for training.learning_rate" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -380,6 +372,24 @@ class TestDetectCommand:
         assert "garbled.ckpt" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
+    def test_png_frames_without_pillow_name_file(self, tmp_path, tiny_config, monkeypatch,
+                                                 capsys):
+        frames = tmp_path / "png"
+        frames.mkdir()
+        (frames / "frame_0000.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        ckpt = tmp_path / "tiny.ckpt"
+        save_checkpoint(init_unsupervised(NetworkConfig(
+            frame_size=32, hidden_channels=2, event_classes=2, encoder_len=2,
+            target_len=3), seed=0), ckpt)
+        monkeypatch.setitem(sys.modules, "PIL", None)  # Pillow not installed
+        code = run(["detect", "--config", tiny_config, "--model", str(ckpt),
+                    "--frames", str(frames), "--division-class", "0",
+                    "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{frames / 'frame_0000.png'}: " in err and "convert to PGM" in err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_truncated_checkpoint_names_file(self, tmp_path, tiny_config, synth_video,
                                              capsys):
         bad = tmp_path / "cut.ckpt"
@@ -521,10 +531,9 @@ class TestDetectStackScoreMaps:
         outputs = TestDetectWindowPairs.detect_outputs
         window_detections = pp.window_detections
 
-        def own_maps(grid, sub, classes, score_maps, lookahead, *args, **kwargs):
+        def own_maps(grid, sub, classes, score_maps, **kwargs):
             """Reference: each window computes its own disc-mean maps."""
-            maps = pp.disc_mean_maps(sub.frames, lookahead, cli.PostprocessConfig().disc_radius)
-            return window_detections(grid, sub, classes, maps, lookahead, *args, **kwargs)
+            return window_detections(grid, sub, classes, pp.disc_mean_maps(sub.frames), **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(pp, "window_detections", own_maps)

@@ -758,6 +758,8 @@ class TestCheckpoint:
          "unknown checkpoint kind: 'supervisee'"),
         (lambda d: d.replace(b"kind=", b"garbage\nkind="), "malformed config line: 'garbage'"),
         (lambda d: d.replace(b"kind=", b"bogus=1\nkind="), "unknown config keys: ['bogus']"),
+        (lambda d: d.replace(b"target_len=10", b"target_len=3\ntarget_len=10"),
+         "duplicate config key 'target_len'"),
         (lambda d: d.replace(b"frame_size=64", b"frame_size=6x"), "bad config: "),
         (lambda d: d.replace(b"event_fwd.w_xi", b"event_fwd.w_xz"),
          "unexpected blob 'event_fwd.w_xz' for kind supervised"),
@@ -779,9 +781,9 @@ class TestCheckpoint:
          "bad config: frame_size must be >= 1, got 0"),
         (lambda d: d.replace(b"conv_kernel=5", b"conv_kernel=-1"),
          "bad config: conv_kernel must be >= 1, got -1"),
-    ], ids=["truncated", "kind", "malformed", "unknown-key", "bad-config", "unexpected",
-            "shape", "missing", "name-length", "rank", "duplicate", "grid-factor-0",
-            "hidden-negative", "frame-size-0", "kernel-negative"])
+    ], ids=["truncated", "kind", "malformed", "unknown-key", "repeated-key", "bad-config",
+            "unexpected", "shape", "missing", "name-length", "rank", "duplicate",
+            "grid-factor-0", "hidden-negative", "frame-size-0", "kernel-negative"])
     def test_edited_fixture_error_names_file(self, tmp_path, edit, message):
         path = tmp_path / "edited.ckpt"
         path.write_bytes(edit((FIXTURES / "sup.ckpt").read_bytes()))

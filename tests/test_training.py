@@ -26,7 +26,7 @@ class TestRmspropStep:
         # a = 0.1 * 1^2 = 0.1; delta = -1e-3 / (sqrt(0.1) + 1e-8) = -3.1623e-3
         params = single_param(0.0)
         acc = {"w": np.zeros_like(params["w"])}
-        cfg = tr.TrainConfig(learning_rate=1e-3, decay_rate=0.9, epsilon=1e-8, seed=0)
+        cfg = tr.TrainConfig(learning_rate=1e-3, seed=0)
         tr.rmsprop_step(params, single_param(1.0), acc, cfg)
         assert acc["w"][0] == pytest.approx(0.1, abs=1e-15)
         assert params["w"][0] == pytest.approx(-3.1623e-3, abs=1e-6)
@@ -58,13 +58,11 @@ class TestRmspropStep:
             tr.rmsprop_step(params, {"w": np.zeros(4)}, acc, tr.TrainConfig(seed=0))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="decay_rate"):
-            tr.TrainConfig(decay_rate=1.5)
         with pytest.raises(ValueError, match="learning_rate"):
             tr.TrainConfig(learning_rate=-1.0)
 
     @pytest.mark.parametrize("name, value", [
-        ("epsilon", 0.0), ("epsilon", -1e-8), ("epochs", 0), ("epochs", -3),
+        ("epochs", 0), ("epochs", -3),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", float("-inf"))])
     def test_corrupting_setting_rejected_by_name(self, name, value):
