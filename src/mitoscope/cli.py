@@ -298,8 +298,9 @@ def cmd_detect(args) -> int:
     # (unsup desk: 10x faults).
     # A window with no patch of the classes asked for is skipped. The
     # disc-mean score maps are computed once per spatial window, over the
-    # stack its subsequences are views of, when the first of its windows
-    # with a patch arrives; each window reads its slice of them.
+    # window's stack (``sub.stack``, which its subsequences are views of),
+    # when the first of its windows with a patch arrives; each window reads
+    # its slice of them.
     enc, g = cfg.network.encoder_len, cfg.network.grid_factor
     classes = range(n) if k is None else [k]
     first = 0 if mode == "sup" else enc
@@ -313,8 +314,8 @@ def cmd_detect(args) -> int:
         grid = pp.class_grid(maps, g)
         if not np.isin(grid, classes).any():
             continue
-        if sub.frames.base is not stack:
-            stack = sub.frames.base
+        if sub.stack is not stack:
+            stack = sub.stack
             stack_maps = pp.disc_mean_maps(stack)
         start = sub.t0 - frame_range[0]
         dets, skips = pp.window_detections(grid, sub, classes,

@@ -7,12 +7,19 @@ pixels in [0,1]; a subsequence carries enough provenance (window origin,
 start frame, scale, augmentation tag) to map model coordinates back to
 original-video coordinates.
 
-``build_subsequences`` downsamples each spatial window once into one
-read-only ``[T,1,M,M]`` stack. Every subsequence of that window, and each
-of its augmentations, is a numpy view of the stack (a slice, a reversed
-axis or a ``rot90``), so the index costs one stack per window whatever the
-number of temporal starts and augmentations. ``attach_targets`` paints each
-window's supervised targets once and gives them out as views the same way.
+``build_subsequences`` block-means each frame once per block phase
+``(x0 % downsample, y0 % downsample)`` of the window origins, into one
+read-only ``[T,1,H/f,W/f]`` video over the span of that phase's windows;
+overlapping windows share its pixels (at the paper's geometry every origin
+is on the block grid, so there is one video). Each spatial window's
+``[T,1,M,M]`` stack is a view of its phase's video, and every subsequence
+of that window, and each of its augmentations, is a view of the stack (a
+slice, a reversed axis or a ``rot90``), so the index costs one block-mean
+video per phase whatever the number of windows, temporal starts and
+augmentations. A subsequence carries its window's stack as ``stack``,
+because numpy collapses ``.base`` to the video. ``attach_targets`` paints
+each window's supervised targets once and gives them out as views the
+same way.
 The six augmentations are one table of views (``TRANSFORMS`` names them);
 ``Subsequence.to_original`` inverts one by viewing pixel indices with it.
 """
@@ -257,6 +264,10 @@ class Subsequence:
     scale: int = 1
     transform: str = "identity"
     targets: list | None = None  # [1,M,M] maps aligned to the target frames
+    # from build_subsequences, the window's [T,1,M,M] stack over the whole
+    # frame range, unaugmented and shared by all the window's subsequences:
+    # a read-only view of the block-mean video
+    stack: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def model_size(self) -> int:
@@ -285,7 +296,7 @@ def augment(sub: Subsequence) -> list:
     no pixels are copied. Targets are not carried over; ``attach_targets``
     gives each variant its view of the window's target stack."""
     return [Subsequence(transform_frames(sub.frames, tag), sub.x0, sub.y0, sub.t0,
-                        sub.scale, tag)
+                        sub.scale, tag, stack=sub.stack)
             for tag in TRANSFORMS]
 
 
@@ -316,33 +327,50 @@ def check_fields(cfg, rules: dict) -> None:
             raise ValueError(f"{name} must be {wording}, got {value}")
 
 
+def _phase_spans(origins, size: int, factor: int) -> dict:
+    """For each block phase ``o % factor`` of ascending 1-D window origins,
+    the span ``(first origin, last origin + size)`` its windows cover."""
+    spans = {}
+    for o in origins:
+        spans[o % factor] = (spans.get(o % factor, (o,))[0], o + size)
+    return spans
+
+
 def build_subsequences(video: VideoSource, frame_range=None, window_size: int = 256,
                        window_step: int = 128, downsample: int = 4, length: int = 15,
                        temporal_step: int = 1, augmented: bool = False) -> list:
     """Cut a video into model-ready subsequences: spatial windows, temporal
     windows, unit rescale, block-mean downsampling, optional augmentation.
 
-    Each spatial window is downsampled once into a read-only ``[T,1,M,M]``
-    stack, filled one unit frame at a time; subsequences and their
-    augmentations are views of it."""
+    Each frame is block-meaned once per block phase of the window origins
+    into one read-only ``[T,1,H/f,W/f]`` video over the span of that
+    phase's windows, filled one unit frame at a time. A window's
+    ``[T,1,M,M]`` stack is a view of its phase's video; subsequences and
+    their augmentations are views of the stack."""
     check_windowing(window_size, window_step, downsample, length, temporal_step)
     lo, hi = (0, video.count) if frame_range is None else frame_range
     if not (0 <= lo < hi <= video.count):
         raise ValueError(f"frame range {lo}:{hi} outside video of {video.count} frames")
     origins = spatial_windows(video.width, video.height, window_size, window_step)
     starts = temporal_windows(hi - lo, length, temporal_step)
-    m = window_size // downsample
-    stacks = [np.empty((hi - lo, 1, m, m)) for _ in origins]
+    f, m = downsample, window_size // downsample
+    xspans = _phase_spans(sorted({x0 for x0, _ in origins}), window_size, f)
+    yspans = _phase_spans(sorted({y0 for _, y0 in origins}), window_size, f)
+    videos = {(xa, xb, ya, yb): np.empty((hi - lo, 1, (yb - ya) // f, (xb - xa) // f))
+              for xa, xb in xspans.values() for ya, yb in yspans.values()}
     for i, t in enumerate(range(lo, hi)):
         unit = rescale_unit(video.frames[t])[None]
-        for (x0, y0), stack in zip(origins, stacks):
-            stack[i] = block_mean(unit[:, y0:y0 + window_size, x0:x0 + window_size],
-                                  downsample)
+        for (xa, xb, ya, yb), phase in videos.items():
+            phase[i] = block_mean(unit[:, ya:yb, xa:xb], f)
+    for phase in videos.values():
+        phase.flags.writeable = False
     subs = []
-    for (x0, y0), stack in zip(origins, stacks):
-        stack.flags.writeable = False
+    for x0, y0 in origins:
+        (xa, xb), (ya, yb) = xspans[x0 % f], yspans[y0 % f]
+        j, k = (y0 - ya) // f, (x0 - xa) // f
+        stack = videos[xa, xb, ya, yb][:, :, j:j + m, k:k + m]
         for s in starts:
-            sub = Subsequence(stack[s:s + length], x0, y0, lo + s, downsample)
+            sub = Subsequence(stack[s:s + length], x0, y0, lo + s, f, stack=stack)
             if augmented:
                 subs.extend(augment(sub))
             else:

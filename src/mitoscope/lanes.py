@@ -6,6 +6,7 @@ cores, as the benchmark pins it), ``second`` runs on the helper thread
 while ``first`` runs on the caller; with OpenBLAS at its default of one
 thread per core, or when the caller already runs in a lane, the two run one
 after the other on the caller. So no more than two lanes run at once.
+While they run, each is pinned to its own half of the caller's CPUs.
 
 Callers hand ``both`` parts that share nothing but read-only inputs and
 write disjoint parts of arrays the caller allocated, each part doing the
@@ -62,12 +63,29 @@ def two_lanes() -> bool:
 _lane = threading.local()  # ``busy`` while this thread runs one of two lanes
 
 
-def _in_lane(fn):
+def _pin(cpus):
+    """Set this thread's CPU mask to ``cpus`` and return the mask it had,
+    or None, changing nothing, where the mask cannot be read or set."""
+    if cpus is None:
+        return None
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        return None
+    return mask
+
+
+def _in_lane(fn, cpus):
+    """Run ``fn`` as one lane, this thread pinned to ``cpus`` while it
+    runs and given its own mask back after."""
     _lane.busy = True
+    mask = _pin(cpus)
     try:
         return fn()
     finally:
         _lane.busy = False
+        _pin(mask)
 
 
 _helper = None  # (pid, one-worker pool) of this process's helper thread
@@ -91,12 +109,22 @@ def both(first, second):
     caller is not itself in a lane, ``second`` runs on the helper thread
     while ``first`` runs on the caller; a ``both`` inside either runs in
     turn. An error in either reaches the caller, and never before
-    ``second`` has finished."""
+    ``second`` has finished.
+
+    While the two lanes run, the caller is pinned to one half of its CPUs
+    and the helper to the other, where the masks can be set: a kernel that
+    does no load balancing never moves a thread off the CPU it started on,
+    so two unpinned lanes could share one CPU for a whole run."""
     if getattr(_lane, "busy", False) or not two_lanes():
         return first(), second()
-    pending = _helper_lane().submit(_in_lane, second)
     try:
-        result = _in_lane(first)
+        cpus = sorted(os.sched_getaffinity(0))
+        halves = cpus[:len(cpus) // 2], cpus[len(cpus) // 2:]
+    except (AttributeError, OSError):
+        halves = None, None
+    pending = _helper_lane().submit(_in_lane, second, halves[1])
+    try:
+        result = _in_lane(first, halves[0])
     finally:
         wait([pending])
     return result, pending.result()

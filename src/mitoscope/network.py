@@ -42,6 +42,7 @@ import numpy as np
 from . import conv_lstm as cl
 from . import lanes
 from . import tensor_core as tc
+from .data_pipeline import check_fields
 
 __all__ = [
     "NetworkConfig",
@@ -78,9 +79,7 @@ class NetworkConfig:
     cnn1_kernel: int = 5
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+        check_fields(self, {f.name: (lambda v: v >= 1, ">= 1") for f in fields(self)})
         if self.frame_size % self.grid_factor != 0:
             raise ValueError(
                 f"frame_size {self.frame_size} not divisible by grid_factor {self.grid_factor}")

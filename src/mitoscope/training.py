@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network as net
+from .data_pipeline import check_fields
 
 __all__ = ["TrainConfig", "rmsprop_step", "train", "grad_norm"]
 
@@ -36,10 +37,9 @@ class TrainConfig:
     def __post_init__(self):
         # zero is allowed so a null update can be expressed; a NaN or infinite
         # rate would turn every weight into NaN on the first step
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_fields(self, {"learning_rate": (lambda v: math.isfinite(v) and v >= 0.0,
+                                              "finite and >= 0"),
+                            "epochs": (lambda v: v >= 1, ">= 1")})
 
 
 def rmsprop_step(params: dict, grads: dict, acc: dict, cfg: TrainConfig) -> None:

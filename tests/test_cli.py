@@ -558,17 +558,24 @@ class TestDetectStackScoreMaps:
         # every cell of every window goes to class 0, so class 1 has no patch
         monkeypatch.setattr(pp, "class_grid",
                             lambda maps, g: np.zeros_like(class_grid(maps, g)))
-        stacks = []
+        stacks, built = [], []
         monkeypatch.setattr(pp, "disc_mean_maps",
                             lambda frames, *a: stacks.append(frames) or
                             disc_mean_maps(frames, *a))
+        build = cli.dp.build_subsequences
+        monkeypatch.setattr(cli.dp, "build_subsequences",
+                            lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
         for k, count in (("1", 0), ("0", 4)):
             stacks.clear()
+            built.clear()
             assert run(["detect", "--config", str(config), "--model", str(ckpt),
                         "--frames", str(tmp_path / "video"), "--division-class", k,
                         "--out", str(tmp_path / "d.csv")]) == 0
             assert len(stacks) == count, k
-            assert len({id(f) for f in stacks}) == count
+            # the maps are computed over each window's own stack, in window order
+            window_stacks = list({id(sub.stack): sub.stack for sub in built[0]}.values())
+            assert len(window_stacks) == 4
+            assert [id(f) for f in stacks] == [id(w) for w in window_stacks[:count]]
             assert all(f.shape == (8, 1, 32, 32) for f in stacks)
 
 

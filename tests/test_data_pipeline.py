@@ -462,6 +462,25 @@ class TestStackViews:
             assert got.shape == want.shape == (4, 1, 8, 8)
             assert got.tobytes() == want.tobytes(), key
 
+    @pytest.mark.parametrize("width, height, geometry, phases", [
+        # flush windows off the x4 grid on both axes: four block phases
+        (110, 90, dict(window_size=32, window_step=16, downsample=4), 4),
+        # a step of 7 at x3 puts the origins on every phase of both axes
+        (60, 50, dict(window_size=24, window_step=7, downsample=3), 9),
+        # x1: one phase, the whole frame
+        (40, 30, dict(window_size=16, window_step=10, downsample=1), 1),
+    ], ids=["flush-phases", "every-phase", "x1"])
+    def test_bit_identical_on_every_block_phase(self, width, height, geometry, phases):
+        video = noise_video(width, height, 7, seed=width)
+        geometry = dict(geometry, frame_range=(1, 7), length=3, temporal_step=2)
+        subs = dp.build_subsequences(video, augmented=True, **geometry)
+        ref = eager_reference(video, **geometry)
+        assert len(subs) == len(ref)
+        for sub, (key, want) in zip(subs, ref):
+            assert (sub.x0, sub.y0, sub.t0, sub.transform) == key
+            assert np.ascontiguousarray(sub.frames).tobytes() == want.tobytes(), key
+        assert len({id(root_array(sub.frames)) for sub in subs}) == phases
+
     def test_frames_read_only_and_shared_per_window(self):
         video = noise_video(100, 70, 13, seed=6)
         subs = dp.build_subsequences(video, augmented=True, **self.GEOMETRY)
@@ -474,8 +493,13 @@ class TestStackViews:
         # starts 3 and 5 overlap in time: every tag of both is one buffer
         assert all(np.shares_memory(first[0].frames, s.frames) for s in first[:12])
         # start 7 does not overlap start 3 but is a view of the same stack
-        assert all(root_array(s.frames) is root_array(first[0].frames) for s in first)
-        assert not np.shares_memory(first[0].frames, second[0].frames)
+        assert all(s.stack is first[0].stack for s in first)
+        assert all(np.shares_memory(s.frames, first[0].stack) for s in first)
+        assert second[0].stack is not first[0].stack
+        assert second[0].stack.shape == first[0].stack.shape == (9, 1, 8, 8)
+        # the overlapping windows are views of one read-only video
+        assert root_array(first[0].stack) is root_array(second[0].stack)
+        assert not root_array(first[0].stack).flags.writeable
 
     def test_targets_are_views_of_identity_targets(self):
         video, annotations = dp.synth_generate(
@@ -509,8 +533,9 @@ class TestStackViews:
         # block means, six augmentations, 100 frames. The unsupervised index
         # (15-frame subsequences) as separate arrays would take 20.3 GB; the
         # supervised one (10 frames) would take 14.3 GB for its targets
-        # alone, painted per subsequence. One [100,1,64,64] stack per window
-        # is 262 MB, and the supervised targets add one more.
+        # alone, painted per subsequence. The one [100,1,260,348] block-mean
+        # video all windows view is 72 MB; the supervised targets add one
+        # [100,1,64,64] stack per window, 262 MB.
         video = noise_video(1392, 1040, 100, seed=7)
         annotations = [(f, 53 * f % 1392, 31 * f % 1040) for f in range(100)]
 
@@ -533,6 +558,24 @@ class TestStackViews:
             assert subs[0].frames.shape == (length, 1, 64, 64)
             assert peak < bound, f"{length}-frame index: traced peak {peak / 1e6:.0f} MB"
             del subs
+
+
+    @pytest.mark.parametrize("length", [15, 10], ids=["unsup", "sup"])
+    def test_paper_index_holds_one_video(self, length):
+        # the unaugmented index ``detect`` builds at the [data] defaults:
+        # 80 windows of a 100-frame 1392x1040 clip, every origin on the x4
+        # block grid, so all windows view one [100,1,260,348] video (69 MiB);
+        # one [100,1,64,64] stack per window would hold 250 MiB
+        video = noise_video(1392, 1040, 100, seed=9)
+        tracemalloc.start()
+        try:
+            subs = dp.build_subsequences(video, length=length)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(subs) == 80 * (101 - length)
+        assert len({id(root_array(sub.frames)) for sub in subs}) == 1
+        assert held <= 80 * 2**20, f"index holds {held / 2**20:.1f} MiB"
 
 
 class TestWindowingChecks:

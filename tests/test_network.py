@@ -460,6 +460,25 @@ class TestTwoLanes:
         helpers = {lanes.both(lambda: None, threading.get_ident)[1] for _ in range(5)}
         assert len(helpers) == 1 and threading.get_ident() not in helpers
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_lanes_run_on_different_cpus_and_mask_restored(self):
+        mask = os.sched_getaffinity(0)
+        ready = threading.Barrier(2, timeout=10)
+
+        def where():
+            ready.wait()  # both lanes are running now
+            stat = Path("/proc/thread-self/stat")
+            cpu = int(stat.read_text().rsplit(")", 1)[1].split()[36]) if stat.exists() else None
+            return os.sched_getaffinity(0), cpu
+
+        for _ in range(3):
+            (first, cpu_first), (second, cpu_second) = lanes.both(where, where)
+            assert first and second and not first & second
+            assert first | second == mask
+            assert cpu_first in first | {None} and cpu_second in second | {None}
+            assert os.sched_getaffinity(0) == mask
+
     def test_forked_child_starts_its_own_helper(self, tiny_unsup_model):
         # the parent's helper thread does not exist in a forked child: a
         # child that reused its executor would queue work nobody runs

@@ -318,7 +318,8 @@ class TestStackScoreMaps:
         assert len(subs) == 4 * 5  # four stacks, five starts each
         stack_maps = {}
         for sub in subs:
-            stack = sub.frames.base
+            stack = sub.stack
+            assert stack.shape == (13 - lo, 1, 16, 16)
             if id(stack) not in stack_maps:
                 stack_maps[id(stack)] = pp.disc_mean_maps(stack, lookahead, 5.0)
             start = sub.t0 - lo
