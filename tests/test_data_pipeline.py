@@ -559,7 +559,6 @@ class TestStackViews:
             assert peak < bound, f"{length}-frame index: traced peak {peak / 1e6:.0f} MB"
             del subs
 
-
     @pytest.mark.parametrize("length", [15, 10], ids=["unsup", "sup"])
     def test_paper_index_holds_one_video(self, length):
         # the unaugmented index ``detect`` builds at the [data] defaults:
